@@ -28,11 +28,16 @@ import pytest
 from repro.bench_suite import SUBSET, benchmark_names
 from repro.dist.base import make_store
 from repro.mapping.decompose import MappingResult
+from repro.obs.metrics import CounterScope
 from repro.pipeline import ArtifactCache, SynthesisContext
+from repro.pipeline.run import run_counts
 
 _CACHE_DIR = os.environ.get("SI_MAPPER_CACHE")
 _CACHE_URL = os.environ.get("SI_MAPPER_CACHE_URL")
 _CACHE = ArtifactCache(disk=make_store(_CACHE_DIR, _CACHE_URL))
+#: counts the whole session's cache and store traffic (the harness
+#: runs every benchmark on this thread)
+_SCOPE = CounterScope().open()
 _CONTEXTS: Dict[str, SynthesisContext] = {}
 #: circuit -> stage -> wall-clock seconds spent computing artifacts
 #: through this harness (feeds the SI_MAPPER_BENCH_OUT snapshot)
@@ -69,7 +74,7 @@ def pytest_runtest_logreport(report):
 def pytest_terminal_summary(terminalreporter):
     """Surface harness-wide cache telemetry in the benchmark output,
     and emit a perf snapshot when ``SI_MAPPER_BENCH_OUT`` names one."""
-    telemetry = _CACHE.telemetry()
+    telemetry = run_counts(_SCOPE)
     store = " / ".join(filter(None, [_CACHE_DIR, _CACHE_URL]))
     terminalreporter.write_line(
         f"artifact cache: {len(_CACHE)} entries, "

@@ -39,9 +39,10 @@ _LOCKISH = re.compile(r"(?i)(lock|mutex)")
 #: ``self.server``
 _HANDLER_BASE = re.compile(r"RequestHandler$")
 
-#: base-class name fragments marking a class whose counters are
-#: guarded by an internal lock (the ``_ThreadSafeCounters`` mixin)
-_LOCKED_BASE = re.compile(r"(?i)(threadsafe|lockedcounters)")
+#: base-class names marking a class whose counters are guarded by an
+#: internal lock (subclasses of the store counters,
+#: :class:`~repro.pipeline.store.StoreStats`)
+_LOCKED_BASE = re.compile(r"^StoreStats$")
 
 
 def is_lockish(node: ast.AST) -> bool:

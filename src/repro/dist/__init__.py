@@ -14,7 +14,7 @@ small layers over it:
 
 :mod:`repro.dist.base`
     The :class:`ArtifactStore` protocol every backend implements
-    (``get/put/report/gc/clear/telemetry``) and :func:`make_store`,
+    (``get/put/report/gc/clear``) and :func:`make_store`,
     the factory the pipeline and CLI use to turn ``--cache-dir`` /
     ``--cache-url`` / ``--cache-s3`` into a backend: disk, remote,
     object store, or a write-through :class:`TieredStore`.
@@ -81,14 +81,12 @@ _EXPORTS = {
     "FakeS3Server": "repro.dist.s3fake",
     "ObjectStoreArtifactCache": "repro.dist.objectstore",
     "RemoteArtifactCache": "repro.dist.remote",
-    "RemoteStats": "repro.dist.remote",
     "SHARD_SCHEMA": "repro.dist.shard",
     "STORE_LAYOUT": "repro.dist.envelope",
     "TieredStore": "repro.dist.remote",
     "available_codecs": "repro.dist.envelope",
     "decode_entry": "repro.dist.envelope",
     "digest_of": "repro.dist.envelope",
-    "empty_telemetry": "repro.dist.base",
     "encode_entry": "repro.dist.envelope",
     "kind_of": "repro.dist.envelope",
     "make_store": "repro.dist.base",

@@ -12,10 +12,9 @@ Three pieces:
 * :class:`Job` — one synthesis request: a stable content-derived id,
   a state machine ``queued → running → done/failed`` (plus
   ``cancelled`` for jobs pulled from the queue before a worker took
-  them), per-stage progress events sourced from the
-  :mod:`repro.mapping.progress` hooks, and the finished Table-1 row as
-  *canonical bytes* so every fetch — and every replica — returns the
-  byte-identical document;
+  them), the per-stage progress events its pipeline run reports, and
+  the finished Table-1 row as *canonical bytes* so every fetch — and
+  every replica — returns the byte-identical document;
 * :class:`JobService` — the queue, the worker pool, per-tenant quotas
   and the latency/depth counters exported on ``/stats``;
 * :class:`ClaimPool` — the work-stealing counter behind ``POST
@@ -42,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.mapping.decompose import MapperConfig
-from repro.mapping.progress import ProgressEvent, progress_hook
 from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer
 from repro.stg.parser import parse_g
@@ -507,9 +505,15 @@ class JobService:
     def _run(self, job: Job) -> None:
         from repro.pipeline.run import Pipeline, PipelineConfig
 
-        def observe(event: ProgressEvent) -> None:
+        def observe(stage: str, seconds: Optional[float]) -> None:
+            event: Dict[str, object] = {"stage": stage}
+            if seconds is None:
+                event["status"] = "start"
+            else:
+                event["status"] = "done"
+                event["seconds"] = round(seconds, 6)
             with self._lock:
-                job.events.append(event.to_json())
+                job.events.append(event)
 
         config = PipelineConfig(
             libraries=job.params.libraries,
@@ -518,18 +522,15 @@ class JobService:
                                 csc_method=job.params.csc_method),
             keep_artifacts=False)
         tracer = Tracer() if self.keep_trace else None
+        pipeline = Pipeline(config, cache=self._cache)
+        source = (job.name, job.g_text)
         try:
-            with progress_hook(observe):
-                if tracer is not None:
-                    with tracer.activate():
-                        with tracer.span("job", "job", id=job.id,
-                                         circuit=job.name):
-                            record = Pipeline(
-                                config, cache=self._cache).run(
-                                    (job.name, job.g_text))
-                else:
-                    record = Pipeline(config, cache=self._cache).run(
-                        (job.name, job.g_text))
+            if tracer is not None:
+                with tracer.activate(), tracer.span(
+                        "job", "job", id=job.id, circuit=job.name):
+                    record = pipeline.run(source, on_stage=observe)
+            else:
+                record = pipeline.run(source, on_stage=observe)
             result = canonical_row_bytes(record.row)
         except Exception as error:  # si-lint: disable=exc-broad-degrade
             # the job, not the service, fails: any pipeline error (CSC

@@ -40,15 +40,14 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import xml.etree.ElementTree as ElementTree
-from typing import (Any, Dict, Hashable, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Hashable, Iterator, List, Optional, Tuple
 
 from repro.dist.envelope import (ARTIFACT_FORMATS, STORE_LAYOUT,
                                  decode_entry, digest_of, encode_entry,
                                  kind_of, resolve_codec)
-from repro.dist.remote import RemoteStats, _NETWORK_ERRORS
+from repro.dist.remote import _NETWORK_ERRORS
 from repro.errors import StoreConfigError
-from repro.pipeline.store import MISS, StoreReport, empty_telemetry
+from repro.pipeline.store import MISS, StoreReport, StoreStats
 
 
 class TransportError(OSError):
@@ -301,8 +300,7 @@ class ObjectStoreArtifactCache:
         self.prefix = prefix
         self.codec = resolve_codec(codec)
         self.cooldown = cooldown
-        self.stats = RemoteStats()
-        self.stats.bind("s3")
+        self.stats = StoreStats("s3")
         self._down_until = 0.0
         if transport is not None:
             self._transport = transport
@@ -525,11 +523,6 @@ class ObjectStoreArtifactCache:
             return True
         except TransportError:
             return False
-
-    def telemetry(self) -> Dict[str, int]:
-        counters = empty_telemetry()
-        counters.update(self.stats.as_dict())
-        return counters
 
     def __repr__(self) -> str:
         return (f"ObjectStoreArtifactCache({self.spec!r}, "

@@ -38,41 +38,13 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.dist.envelope import (ARTIFACT_FORMATS, available_codecs,
                                  decode_entry, digest_of, encode_entry,
                                  kind_of, resolve_codec)
 from repro.pipeline.store import (MISS, DiskArtifactCache, StoreReport,
-                                  _ThreadSafeCounters, empty_telemetry)
-
-
-@dataclass
-class RemoteStats(_ThreadSafeCounters):
-    """Telemetry counters of one :class:`RemoteArtifactCache`."""
-
-    hits: int = 0
-    misses: int = 0          # 404s, and requests skipped in cooldown
-    stale: int = 0           # downloaded, but wrong format stamp / key
-    errors: int = 0          # network failures and server errors
-    writes: int = 0
-    write_skips: int = 0     # unpicklable, failed or skipped uploads
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "remote_hits": self.hits,
-                "remote_misses": self.misses,
-                "remote_stale": self.stale,
-                "remote_errors": self.errors,
-                "remote_writes": self.writes,
-                "remote_write_skips": self.write_skips,
-                "remote_bytes_read": self.bytes_read,
-                "remote_bytes_written": self.bytes_written,
-            }
+                                  StoreStats)
 
 
 #: network exceptions that mean "server unreachable / broken", opening
@@ -107,8 +79,7 @@ class RemoteArtifactCache:
         self.cooldown = cooldown
         self.chunk_bytes = max(1, int(chunk_bytes))
         self.codec = resolve_codec(codec)
-        self.stats = RemoteStats()
-        self.stats.bind("remote")
+        self.stats = StoreStats("remote")
         self._down_until = 0.0
 
     # ------------------------------------------------------------------
@@ -351,11 +322,6 @@ class RemoteArtifactCache:
         except (urllib.error.HTTPError, *_NETWORK_ERRORS):
             return False
 
-    def telemetry(self) -> Dict[str, int]:
-        counters = empty_telemetry()
-        counters.update(self.stats.as_dict())
-        return counters
-
     def __repr__(self) -> str:
         return (f"RemoteArtifactCache({self.base_url!r}, "
                 f"hits={self.stats.hits}, misses={self.stats.misses}, "
@@ -420,11 +386,6 @@ class TieredStore:
 
     def clear(self) -> Tuple[int, int]:
         return self.local.clear()
-
-    def telemetry(self) -> Dict[str, int]:
-        counters = self.local.telemetry()
-        counters.update(self.remote.stats.as_dict())
-        return counters
 
     def __repr__(self) -> str:
         return f"TieredStore({self.local!r}, {self.remote!r})"

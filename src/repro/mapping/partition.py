@@ -122,8 +122,8 @@ def compute_insertion_sets_from_states(sg: StateGraph,
             f"insertion block {label} is constant on the reachable "
             "states")
 
-    er_plus = _input_border(sg, ones)
-    er_minus = _input_border(sg, zeros)
+    er_plus = input_border(sg, ones)
+    er_minus = input_border(sg, zeros)
     if not er_plus or not er_minus:
         raise InsertionError(
             f"insertion block {label} never changes value")
@@ -158,9 +158,6 @@ def input_border(sg: StateGraph, half: Set[State]) -> Set[State]:
                 break
     return border
 
-
-#: backwards-compatible alias (pre-regions-solver name)
-_input_border = input_border
 
 
 def _grow(sg: StateGraph, seed: Set[State], half: Set[State],

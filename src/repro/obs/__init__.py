@@ -1,34 +1,32 @@
 """Unified observability core: metrics registry + span tracing.
 
-One process-wide :class:`~repro.obs.metrics.MetricsRegistry` absorbs
-the counters previously scattered across ``RunRecord.stats`` dict
-diffs, the store stats mixins, the envelope codec layer and the job
-service — every component forwards its increments here *in addition
-to* its backward-compatible dict views, so cached artifacts, shard
-telemetry blocks and ``/stats`` JSON are byte-unchanged while
-``GET /metrics`` exposes the same numbers as Prometheus text.
+One process-wide :class:`~repro.obs.metrics.MetricsRegistry` holds
+every counter, gauge and histogram of the pipeline, the store tiers,
+the envelope codec layer and the job service; ``GET /metrics``
+exposes it as Prometheus text.  A
+:class:`~repro.obs.metrics.CounterScope` reads one unit of work's
+share of those counters: ``RunRecord.stats``, span ``stats`` and job
+traces all come from a scope opened around the work, never from a
+diff of shared totals.
 
-The tracing half (:mod:`repro.obs.trace`) builds nestable spans over
-the :mod:`repro.mapping.progress` hook seam: activating a
-:class:`~repro.obs.trace.Tracer` turns the pipeline's per-stage
-start/done events into spans and arms the explicit
-:func:`~repro.obs.trace.trace_span` sites in the mapper inner loops,
-the store tiers and the HTTP handler.  With no tracer active every
-site is a near-free null check — the overhead contract of the
-recorded perf trajectory.
+The tracing half (:mod:`repro.obs.trace`) builds nestable spans from
+explicit :func:`~repro.obs.trace.trace_span` sites: the pipeline's
+``stage:<name>`` spans, the mapper inner loops, the store tiers and
+the HTTP handler.  With no tracer active every site is a near-free
+null check — the overhead contract of the recorded perf trajectory.
 
 See ``docs/observability.md`` for the instrument catalogue, the span
 taxonomy and the exposition/trace file contracts.
 """
 
-from repro.obs.metrics import (Counter, Gauge, Histogram,
+from repro.obs.metrics import (Counter, CounterScope, Gauge, Histogram,
                                MetricsRegistry, default_registry,
                                set_default_registry, use_registry)
 from repro.obs.trace import (SpanRecord, Tracer, chrome_trace,
                              current_tracer, trace_span)
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "CounterScope", "Gauge", "Histogram", "MetricsRegistry",
     "default_registry", "set_default_registry", "use_registry",
     "SpanRecord", "Tracer", "chrome_trace", "current_tracer",
     "trace_span",

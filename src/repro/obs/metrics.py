@@ -11,10 +11,17 @@ modules can resolve instruments lazily without coordination.
 Every mutation happens under the instrument's lock; snapshot order is
 deterministic (sorted by metric name, then by label values) so that
 two scrapes of identical state render identical bytes.
+
+Counters also feed every :class:`CounterScope` open in the current
+:mod:`contextvars` context (PEP 567).  A scope is how one unit of
+work — a pipeline run, a daemon job, a traced span — reads its own
+counts: threads start in contexts of their own, so concurrent work
+never leaks into another's scope.
 """
 
 from __future__ import annotations
 
+import contextvars
 import re
 import threading
 from contextlib import contextmanager
@@ -36,6 +43,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 LabelKey = Tuple[str, ...]
+
+#: one counter series: ``(name, ((label, value), ...))``, labels in
+#: declaration order
+Series = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
 def _check_name(name: str) -> str:
@@ -149,6 +160,11 @@ class Counter(Instrument):
         key = self._label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
+        scopes = _open_scopes.get()
+        if scopes:
+            series = (self.name, tuple(zip(self.labelnames, key)))
+            for scope in scopes:
+                scope.add(series, amount)
 
     def value(self, **labels: str) -> float:
         key = self._label_key(labels)
@@ -164,6 +180,59 @@ class Counter(Instrument):
             items = sorted(self._values.items())
         return [Sample(self.name + "_total", self._labels_for(key), value)
                 for key, value in items]
+
+
+class CounterScope:
+    """The counter increments of one unit of work, as they happen.
+
+    ``with CounterScope() as scope:`` (or :meth:`open` /
+    :meth:`close`) makes every :meth:`Counter.inc` of the current
+    context add to ``scope`` as well as to its registry; scopes nest,
+    and each open one sees every increment.  A scope is only written
+    from the context that opened it, and a context runs on one thread
+    at a time, so it needs no lock.
+    """
+
+    def __init__(self) -> None:
+        self._values: Dict[Series, float] = {}
+
+    def open(self) -> "CounterScope":
+        _open_scopes.set(_open_scopes.get() + (self,))
+        return self
+
+    def close(self) -> None:
+        _open_scopes.set(tuple(scope for scope in _open_scopes.get()
+                               if scope is not self))
+
+    def __enter__(self) -> "CounterScope":
+        return self.open()
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def add(self, series: Series, amount: float) -> None:
+        self._values[series] = self._values.get(series, 0.0) + amount
+
+    def series(self) -> Dict[Series, float]:
+        return dict(self._values)
+
+    def as_dict(self) -> Dict[str, float]:
+        """Non-zero series keyed like exposition lines
+        (``si_cache_ops_total{op="hit"}``), sorted; whole counts as
+        ints."""
+        out: Dict[str, float] = {}
+        for (name, pairs), value in self._values.items():
+            if value:
+                key = name + "_total" + _render_labels(
+                    [label for label, _ in pairs],
+                    [text for _, text in pairs])
+                out[key] = int(value) if value.is_integer() else value
+        return dict(sorted(out.items()))
+
+
+#: the scopes open in the current context, outermost first
+_open_scopes: "contextvars.ContextVar[Tuple[CounterScope, ...]]" = (
+    contextvars.ContextVar("repro_counter_scopes", default=()))
 
 
 class Gauge(Instrument):
@@ -335,24 +404,6 @@ class MetricsRegistry:
         out: List[Sample] = []
         for instrument in self.instruments():
             out.extend(instrument.samples())
-        return out
-
-    def counter_totals(self) -> Dict[str, float]:
-        """Flat {name or name{labels}: value} view over counters only.
-
-        This is the cheap delta source the tracer snapshots at span
-        boundaries; gauges and histograms are excluded because deltas
-        over them are not meaningful.
-        """
-        out: Dict[str, float] = {}
-        for instrument in self.instruments():
-            if not isinstance(instrument, Counter):
-                continue
-            for sample in instrument.samples():
-                key = sample.name + _render_labels(
-                    [name for name, _ in sample.labels],
-                    [value for _, value in sample.labels])
-                out[key] = sample.value
         return out
 
     def render_prometheus(self) -> str:

@@ -56,8 +56,10 @@ class ArtifactCache:
     miss consults the store before computing, and computed values are
     written through.  ``hits`` stays "served from memory" and
     ``misses`` stays "actually computed"; store traffic has its own
-    counters on the backend (the ``disk_*`` / ``remote_*`` keys of
-    :meth:`telemetry`).
+    counters on the backend's :class:`~repro.pipeline.store.
+    StoreStats`.  Every event is also counted on the metrics registry
+    (``si_cache_ops_total{op}``), which is where a run's
+    ``cache_hits`` / ``cache_misses`` come from.
     """
 
     def __init__(self, disk: "Optional[ArtifactStore]" = None
@@ -142,24 +144,6 @@ class ArtifactCache:
         """``(entries, hits, misses)`` — for telemetry and tests."""
         with self._lock:
             return len(self._store), self.hits, self.misses
-
-    def telemetry(self) -> Dict[str, int]:
-        """A flat counter snapshot across both layers.
-
-        ``cache_hits`` / ``cache_misses`` are the memory layer
-        (served-from-memory / actually-computed); the ``disk_*``
-        counters are zero when no store is attached.  The pipeline
-        diffs two snapshots to attribute traffic to one run.
-        """
-        with self._lock:
-            counters = {"cache_hits": self.hits,
-                        "cache_misses": self.misses}
-        if self.disk is not None:
-            counters.update(self.disk.telemetry())
-        else:
-            from repro.pipeline.store import empty_telemetry
-            counters.update(empty_telemetry())
-        return counters
 
     def __repr__(self) -> str:
         entries, hits, misses = self.stats()

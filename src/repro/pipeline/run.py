@@ -17,13 +17,15 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 from repro.mapping.decompose import MapperConfig, MappingResult
-from repro.mapping.progress import emit_progress
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import CounterScope, Series, default_registry
+from repro.obs.trace import trace_span
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.context import SynthesisContext
+from repro.pipeline.store import STORE_COUNTERS, TIER_PREFIX
 from repro.stg.stg import Stg
 
 #: stage names, in execution order
@@ -33,6 +35,42 @@ STAGES = ("load", "reach", "csc", "synthesize", "map", "verify",
 #: a circuit source: benchmark name, ``.g`` path, (name, g_text) pair,
 #: parsed Stg, or a ready context
 Source = Union[str, Tuple[str, str], Stg, SynthesisContext]
+
+#: hears ``(stage, None)`` when a stage starts and ``(stage, seconds)``
+#: when it ends (the job service records these as progress events)
+StageObserver = Callable[[str, Optional[float]], None]
+
+
+def _run_counter_keys() -> Dict[Series, str]:
+    keys: Dict[Series, str] = {
+        ("si_cache_ops", (("op", "hit"),)): "cache_hits",
+        ("si_cache_ops", (("op", "miss"),)): "cache_misses",
+    }
+    for tier, prefix in TIER_PREFIX.items():
+        for name in STORE_COUNTERS:
+            if name.startswith("bytes_"):
+                series: Series = ("si_store_bytes", (
+                    ("tier", tier), ("direction", name[len("bytes_"):])))
+            else:
+                series = ("si_store_ops", (("tier", tier), ("op", name)))
+            keys[series] = f"{prefix}_{name}"
+    return keys
+
+
+#: the one series-to-key table of ``RunRecord.stats``: which registry
+#: counter series a run reports, under which key.  Every key is on
+#: every record, zero-filled, whichever store tiers are configured.
+RUN_COUNTERS = _run_counter_keys()
+
+
+def run_counts(scope: CounterScope) -> Dict[str, int]:
+    """A scope's counts under their ``RunRecord.stats`` keys."""
+    counts = dict.fromkeys(RUN_COUNTERS.values(), 0)
+    for series, value in scope.series().items():
+        key = RUN_COUNTERS.get(series)
+        if key is not None:
+            counts[key] += int(value)
+    return counts
 
 
 @dataclass
@@ -167,11 +205,15 @@ class PipelineConfig:
 
 
 @contextmanager
-def _timed(record: RunRecord, stage: str):
-    emit_progress(stage, "start")
+def _timed(record: RunRecord, stage: str,
+           on_stage: Optional[StageObserver]) -> Iterator[None]:
+    """Run one stage inside its ``stage:<name>`` span and time it."""
+    if on_stage is not None:
+        on_stage(stage, None)
     start = time.perf_counter()
     try:
-        yield
+        with trace_span(f"stage:{stage}", "stage"):
+            yield
     finally:
         seconds = time.perf_counter() - start
         record.timings.append(StageTiming(stage, seconds))
@@ -179,7 +221,8 @@ def _timed(record: RunRecord, stage: str):
             "si_stage_seconds",
             "Wall-clock seconds per pipeline stage.",
             ("stage",)).observe(seconds, stage=stage)
-        emit_progress(stage, "done", seconds=seconds)
+        if on_stage is not None:
+            on_stage(stage, seconds)
 
 
 class Pipeline:
@@ -204,59 +247,58 @@ class Pipeline:
             return SynthesisContext.from_g(text, name, cache=self.cache)
         return SynthesisContext.of(source, cache=self.cache)
 
-    def run(self, source: Source) -> RunRecord:
+    def run(self, source: Source,
+            on_stage: Optional[StageObserver] = None) -> RunRecord:
         """Execute every stage for one circuit; errors propagate (the
-        batch runner adds per-circuit fault isolation on top)."""
+        batch runner adds per-circuit fault isolation on top).
+
+        ``record.stats`` counts this run's cache and store traffic
+        alone, even while other threads share the cache."""
         config = self.config
         mapper_config = config.mapper or MapperConfig()
         record = RunRecord(name="?")
 
-        with _timed(record, "load"):
-            context = self.context_of(source)
-        record.name = context.name
-        cache_before = context.cache.telemetry()
+        with CounterScope() as scope:
+            with _timed(record, "load", on_stage):
+                context = self.context_of(source)
+            record.name = context.name
 
-        with _timed(record, "reach"):
-            context.state_graph()
+            with _timed(record, "reach", on_stage):
+                context.state_graph()
 
-        # When CSC solving is requested, every later stage must work on
-        # the conflict-free graph — the raw one may not even be
-        # synthesizable (overlapping ON/OFF sets).
-        csc = mapper_config.solve_csc
-        method = mapper_config.csc_method
-        csc_result = None
-        if csc:
-            with _timed(record, "csc"):
-                csc_result = context.csc_result(method=method)
+            # When CSC solving is requested, every later stage must
+            # work on the conflict-free graph — the raw one may not
+            # even be synthesizable (overlapping ON/OFF sets).
+            csc = mapper_config.solve_csc
+            method = mapper_config.csc_method
+            csc_result = None
+            if csc:
+                with _timed(record, "csc", on_stage):
+                    csc_result = context.csc_result(method=method)
 
-        with _timed(record, "synthesize"):
-            context.implementations(csc, method)
+            with _timed(record, "synthesize", on_stage):
+                context.implementations(csc, method)
 
-        mappings: Dict[Tuple[int, str], MappingResult] = {}
-        with _timed(record, "map"):
-            for literals, mode in config.modes:
-                mappings[(literals, mode)] = context.mapping(
-                    literals, mode, mapper_config)
+            mappings: Dict[Tuple[int, str], MappingResult] = {}
+            with _timed(record, "map", on_stage):
+                for literals, mode in config.modes:
+                    mappings[(literals, mode)] = context.mapping(
+                        literals, mode, mapper_config)
 
-        if config.verify:
-            with _timed(record, "verify"):
-                record.verified = self._verify(mappings)
+            if config.verify:
+                with _timed(record, "verify", on_stage):
+                    record.verified = self._verify(mappings)
 
-        with _timed(record, "report"):
-            record.row = self._report(context, mappings, csc, method,
-                                      csc_result)
+            with _timed(record, "report", on_stage):
+                record.row = self._report(context, mappings, csc,
+                                          method, csc_result)
 
         record.stats = dict(context.stats)
         if csc_result is not None:
             # CSC telemetry rides on the artifact, so a warm cache hit
             # still reports how the solve went.
             record.stats.update(csc_result.stats())
-        for counter, value in context.cache.telemetry().items():
-            # attribute only this run's cache traffic (the cache may
-            # be shared across many runs in one process); a counter
-            # absent from the "before" snapshot is new traffic that
-            # belongs to this run in full
-            record.stats[counter] = value - cache_before.get(counter, 0)
+        record.stats.update(run_counts(scope))
         if config.keep_artifacts:
             record.mappings = mappings
             record.context = context

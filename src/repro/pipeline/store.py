@@ -72,97 +72,67 @@ MISS = object()
 TEMP_REAP_SECONDS = 3600.0
 
 
-class _ThreadSafeCounters:
-    """Mixin giving a stats dataclass an internal lock and an atomic
-    multi-counter :meth:`add` — one store instance is hammered by many
-    threads (the memory layer's waiters, the serve daemon's handler
-    threads), and ``+=`` on a dataclass field is not atomic."""
+#: the counters of every store tier, in ``as_dict`` order
+STORE_COUNTERS = ("hits", "misses", "stale", "errors", "writes",
+                  "write_skips", "bytes_read", "bytes_written")
 
-    def __post_init__(self) -> None:
+#: the key prefix each registry ``tier`` label reports under: an
+#: object store *is* a run's remote tier, so ``s3`` counts as
+#: ``remote_*``
+TIER_PREFIX = {"disk": "disk", "remote": "remote", "s3": "remote"}
+
+
+class StoreStats:
+    """Telemetry counters of one artifact-store backend.
+
+    One store instance is hammered by many threads (the memory
+    layer's waiters, the serve daemon's handler threads) and ``+=`` on
+    a field is not atomic, so every update goes through the locked
+    :meth:`add`.  Each increment is also mirrored onto the process
+    metrics registry as ``si_store_ops_total{tier,op}`` /
+    ``si_store_bytes_total{tier,direction}`` — the series a run's
+    :class:`~repro.obs.metrics.CounterScope` sees.
+    """
+
+    def __init__(self, tier: str) -> None:
+        self.tier = tier
+        self.prefix = TIER_PREFIX[tier]
         self._lock = threading.Lock()
-        self._tier: Optional[str] = None
-
-    def bind(self, tier: str) -> None:
-        """Mirror future increments onto the process metrics registry
-        as ``si_store_ops_total{tier,op}`` / ``si_store_bytes_total``.
-
-        Binding is opt-in per instance: throwaway stats objects (the
-        zero-fill in :func:`empty_telemetry`) stay silent."""
-        self._tier = tier
+        self.hits = 0
+        self.misses = 0          # absent (remote: 404s, cooldown skips)
+        self.stale = 0           # right key, outdated format stamp
+        self.errors = 0          # corrupt entries, network failures
+        self.writes = 0
+        self.write_skips = 0     # unpicklable, failed or skipped writes
+        self.bytes_read = 0
+        self.bytes_written = 0
 
     def add(self, **amounts: int) -> None:
         with self._lock:
             for name, amount in amounts.items():
                 setattr(self, name, getattr(self, name) + amount)
-            tier = self._tier
-        if tier is not None:
-            registry = default_registry()
-            for name, amount in amounts.items():
-                if amount <= 0:
-                    continue
-                if name in ("bytes_read", "bytes_written"):
-                    registry.counter(
-                        "si_store_bytes_total",
-                        "Bytes moved through artifact store tiers.",
-                        ("tier", "direction")).inc(
-                            amount, tier=tier,
-                            direction=("read" if name == "bytes_read"
-                                       else "written"))
-                else:
-                    registry.counter(
-                        "si_store_ops_total",
-                        "Artifact store operations by tier and outcome.",
-                        ("tier", "op")).inc(amount, tier=tier, op=name)
-
-
-@dataclass
-class DiskStats(_ThreadSafeCounters):
-    """Telemetry counters of one :class:`DiskArtifactCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    stale: int = 0           # right key, outdated format stamp
-    errors: int = 0          # corrupt / truncated / unreadable entries
-    writes: int = 0
-    write_skips: int = 0     # artifacts that refused to pickle
-    bytes_read: int = 0
-    bytes_written: int = 0
+        registry = default_registry()
+        for name, amount in amounts.items():
+            if amount <= 0:
+                continue
+            if name in ("bytes_read", "bytes_written"):
+                registry.counter(
+                    "si_store_bytes_total",
+                    "Bytes moved through artifact store tiers.",
+                    ("tier", "direction")).inc(
+                        amount, tier=self.tier,
+                        direction=("read" if name == "bytes_read"
+                                   else "written"))
+            else:
+                registry.counter(
+                    "si_store_ops_total",
+                    "Artifact store operations by tier and outcome.",
+                    ("tier", "op")).inc(amount, tier=self.tier, op=name)
 
     def as_dict(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "disk_hits": self.hits,
-                "disk_misses": self.misses,
-                "disk_stale": self.stale,
-                "disk_errors": self.errors,
-                "disk_writes": self.writes,
-                "disk_write_skips": self.write_skips,
-                "disk_bytes_read": self.bytes_read,
-                "disk_bytes_written": self.bytes_written,
-            }
-
-
-#: every remote-backend counter name (mirrors
-#: :class:`repro.dist.remote.RemoteStats`; a test pins the two lists
-#: together) — listed here so the base pipeline layer can zero-fill
-#: uniform telemetry without importing the dist layer.
-REMOTE_COUNTERS = ("remote_hits", "remote_misses", "remote_stale",
-                   "remote_errors", "remote_writes",
-                   "remote_write_skips", "remote_bytes_read",
-                   "remote_bytes_written")
-
-
-def empty_telemetry() -> Dict[str, int]:
-    """Zeroed counters of every backend kind (disk and remote).
-
-    All :class:`~repro.dist.base.ArtifactStore` backends report over
-    this key set, so :meth:`~repro.pipeline.cache.ArtifactCache.
-    telemetry` snapshots diff cleanly whichever backend (or none) is
-    attached.
-    """
-    counters = DiskStats().as_dict()
-    counters.update({name: 0 for name in REMOTE_COUNTERS})
-    return counters
+            return {f"{self.prefix}_{name}": getattr(self, name)
+                    for name in STORE_COUNTERS}
 
 
 @dataclass
@@ -281,8 +251,7 @@ class DiskArtifactCache:
     def __init__(self, root: str, codec: Optional[str] = None):
         self.root = os.path.abspath(root)
         self.codec = resolve_codec(codec)
-        self.stats = DiskStats()
-        self.stats.bind("disk")
+        self.stats = StoreStats("disk")
 
     # ------------------------------------------------------------------
     # Key → path
@@ -502,13 +471,6 @@ class DiskArtifactCache:
             os.unlink(path)
         except OSError:
             pass
-
-    def telemetry(self) -> Dict[str, int]:
-        """This backend's counters over the full backend counter set
-        (remote counters are zero — there is no remote layer here)."""
-        counters = empty_telemetry()
-        counters.update(self.stats.as_dict())
-        return counters
 
     # ------------------------------------------------------------------
     # Maintenance (``si-mapper cache stats | gc | clear``)

@@ -101,6 +101,12 @@ class TestSubmitPollFetch:
         statuses = [(event["stage"], event["status"])
                     for event in document["events"]]
         assert ("load", "start") == statuses[0]
+        # the event document shape: seconds on "done" events only
+        for event in document["events"]:
+            keys = {"stage", "status"}
+            if event["status"] == "done":
+                keys.add("seconds")
+            assert set(event) == keys
 
     def test_result_while_queued_is_202(self, queued_server):
         client = ServiceClient(queued_server.url)

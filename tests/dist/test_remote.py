@@ -10,7 +10,9 @@ import pytest
 
 from repro.dist.remote import RemoteArtifactCache, TieredStore
 from repro.dist.server import ArtifactServer
+from repro.obs.metrics import CounterScope
 from repro.pipeline import DiskArtifactCache, Pipeline, PipelineConfig
+from repro.pipeline.run import run_counts
 from repro.pipeline.store import (ARTIFACT_FORMATS, MISS, digest_of,
                                   encode_entry, kind_of)
 
@@ -343,8 +345,9 @@ class TestTieredStore:
 
     def test_telemetry_merges_both_layers(self, tmp_path, server):
         tiered, _, _ = self._tiers(tmp_path, server)
-        tiered.put(KEY, "artifact")
-        counters = tiered.telemetry()
+        with CounterScope() as scope:
+            tiered.put(KEY, "artifact")
+        counters = run_counts(scope)
         assert counters["disk_writes"] == 1
         assert counters["remote_writes"] == 1
 
@@ -364,15 +367,6 @@ class TestTieredStore:
         assert remote.stats.write_skips == 1
         assert local.stats.writes == 0
         assert remote.stats.writes == 0
-
-
-def test_remote_counters_match_remote_stats():
-    """pipeline.store zero-fills remote telemetry from a static list;
-    it must stay in lockstep with RemoteStats.as_dict()."""
-    from repro.dist.remote import RemoteStats
-    from repro.pipeline.store import REMOTE_COUNTERS, empty_telemetry
-    assert set(REMOTE_COUNTERS) == set(RemoteStats().as_dict())
-    assert set(empty_telemetry()) >= set(REMOTE_COUNTERS)
 
 
 def test_serve_bind_failure_is_a_clean_cli_error(tmp_path, server,

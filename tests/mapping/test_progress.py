@@ -5,10 +5,9 @@ import pytest
 from repro.boolean.divisors import algebraic_division
 from repro.boolean.sop import SopCover
 from repro.mapping.partition import IPartition, compute_insertion_sets
-from repro.mapping.progress import (ProgressEvent, _extended_quiescent,
+from repro.mapping.progress import (_extended_quiescent,
                                     check_property_31, check_property_32,
-                                    emit_progress, estimate_global_impact,
-                                    progress_hook)
+                                    estimate_global_impact)
 from repro.sg.regions import excitation_regions, quiescent_region
 from repro.synthesis.cover import synthesize_all
 
@@ -126,75 +125,6 @@ class TestProperty32:
         # ER(x+) overlaps ER(c+) (both fire when a=b=1), so x+ becomes
         # a trigger for c+.
         assert result.becomes_trigger
-
-
-class TestProgressHooks:
-    def test_no_observer_is_a_noop(self):
-        emit_progress("reach", "start")  # must not raise
-
-    def test_hook_sees_events_in_order(self):
-        seen = []
-        with progress_hook(seen.append):
-            emit_progress("reach", "start")
-            emit_progress("reach", "done", seconds=0.25)
-        emit_progress("map", "start")    # after the scope: unobserved
-        assert [(e.stage, e.status) for e in seen] == [
-            ("reach", "start"), ("reach", "done")]
-        assert seen[1].seconds == 0.25
-
-    def test_hooks_nest_and_unwind(self):
-        outer, inner = [], []
-        with progress_hook(outer.append):
-            with progress_hook(inner.append):
-                emit_progress("csc")
-            emit_progress("map")
-        assert [e.stage for e in outer] == ["csc", "map"]
-        assert [e.stage for e in inner] == ["csc"]
-
-    def test_broken_observer_does_not_kill_the_run(self):
-        seen = []
-
-        def bomb(event):
-            raise RuntimeError("observer crashed")
-
-        with progress_hook(seen.append):
-            with progress_hook(bomb):
-                emit_progress("verify", "done")
-        assert [e.stage for e in seen] == ["verify"]
-
-    def test_hooks_are_thread_local(self):
-        import threading
-        seen = []
-        with progress_hook(seen.append):
-            worker = threading.Thread(
-                target=lambda: emit_progress("synthesize"))
-            worker.start()
-            worker.join()
-        assert seen == []                 # other thread, other stack
-
-    def test_event_json_shape(self):
-        event = ProgressEvent("map", "done", seconds=0.5)
-        assert event.to_json() == {"stage": "map", "status": "done",
-                                   "seconds": 0.5}
-        assert ProgressEvent("load").to_json() == {"stage": "load",
-                                                   "status": "note"}
-
-    def test_pipeline_emits_stage_events(self):
-        from repro.pipeline.run import Pipeline, PipelineConfig
-        events = []
-        pipeline = Pipeline(PipelineConfig(libraries=(2,),
-                                           with_siegel=False,
-                                           keep_artifacts=False))
-        with progress_hook(events.append):
-            record = pipeline.run("half")
-        assert record.row is not None
-        stages = [e.stage for e in events if e.status == "start"]
-        assert stages == ["load", "reach", "synthesize", "map",
-                          "report"]
-        done = {e.stage: e.seconds for e in events
-                if e.status == "done"}
-        assert set(done) == set(stages)
-        assert all(s is not None and s >= 0 for s in done.values())
 
 
 class TestGlobalImpact:

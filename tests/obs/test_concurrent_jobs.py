@@ -1,6 +1,7 @@
 """Two jobs raced through a 2-worker service with per-job tracing on:
 each job gets its own well-nested span tree on its own worker thread,
-and the shared registry counts every lifecycle event exactly once."""
+its span stats count its own work alone, and the shared registry
+counts every lifecycle event exactly once."""
 
 import threading
 import time
@@ -31,8 +32,7 @@ def wait_done(service, jobs, timeout=60.0):
     pytest.fail(f"states: {[job.state for job in jobs]}")
 
 
-@pytest.fixture
-def raced(monkeypatch):
+def arm_rendezvous(monkeypatch):
     """Both workers rendezvous inside their first ``state_graph``
     call, guaranteeing the two jobs genuinely overlap."""
     barrier = threading.Barrier(2, timeout=30.0)
@@ -47,6 +47,28 @@ def raced(monkeypatch):
 
     monkeypatch.setattr(SynthesisContext, "state_graph", synchronized)
     return barrier
+
+
+@pytest.fixture
+def raced(monkeypatch):
+    return arm_rendezvous(monkeypatch)
+
+
+def run_jobs(*g_texts):
+    """Submit the jobs to a fresh 2-worker tracing service; return
+    them finished."""
+    service = JobService(cache=None, workers=2, keep_trace=True).start()
+    try:
+        jobs = [service.submit(g_text, key="", params=PARAMS)[0]
+                for g_text in g_texts]
+        return wait_done(service, jobs)
+    finally:
+        service.stop()
+
+
+def job_span_stats(job):
+    (root,) = [span for span in job.trace if span["name"] == "job"]
+    return root["args"]["stats"]
 
 
 def well_nested(spans):
@@ -108,3 +130,14 @@ def test_raced_jobs_trace_disjointly_and_count_exactly(raced):
             assert stage_seconds.count(stage=stage) == 2
         run_seconds = registry.histogram("si_job_run_seconds")
         assert run_seconds.count() == 2
+
+
+def test_raced_jobs_carry_their_solo_span_stats(monkeypatch):
+    with use_registry():
+        solo = [job_span_stats(run_jobs(g_text)[0])
+                for g_text in (HALF_G, HAZARD_G)]
+        arm_rendezvous(monkeypatch)
+        raced = [job_span_stats(job)
+                 for job in run_jobs(HALF_G, HAZARD_G)]
+    assert all(stats for stats in solo)
+    assert raced == solo

@@ -1,12 +1,13 @@
 """The metrics registry: instrument semantics, exposition format,
-registration invariants, and the process-default swap."""
+registration invariants, the process-default swap, and counter
+scopes."""
 
 import threading
 
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.metrics import (Counter, Gauge, Histogram,
+from repro.obs.metrics import (Counter, CounterScope, Gauge, Histogram,
                                MetricsRegistry, default_registry,
                                use_registry)
 
@@ -108,12 +109,52 @@ class TestRegistry:
         with pytest.raises(ReproError):
             registry.counter("si_x_total", "", ("a", "a"))
 
-    def test_counter_totals_covers_counters_only(self, registry):
-        registry.counter("si_c_total", "", ("op",)).inc(3, op="hit")
-        registry.gauge("si_g").set(9)
-        registry.histogram("si_h").observe(0.1)
-        totals = registry.counter_totals()
-        assert totals == {'si_c_total{op="hit"}': 3}
+
+class TestCounterScope:
+    def test_counts_its_own_extent_only(self, registry):
+        counter = registry.counter("si_c_total", "", ("op",))
+        counter.inc(op="hit")
+        with CounterScope() as scope:
+            counter.inc(3, op="hit")
+            registry.gauge("si_g").set(9)
+            registry.histogram("si_h").observe(0.1)
+        counter.inc(op="hit")
+        assert counter.value(op="hit") == 5
+        assert scope.series() == {("si_c", (("op", "hit"),)): 3}
+        assert scope.as_dict() == {'si_c_total{op="hit"}': 3}
+
+    def test_nested_scopes_all_count(self, registry):
+        counter = registry.counter("si_c_total")
+        with CounterScope() as outer:
+            counter.inc()
+            with CounterScope() as inner:
+                counter.inc(2)
+        assert outer.as_dict() == {"si_c_total": 3}
+        assert inner.as_dict() == {"si_c_total": 2}
+
+    def test_other_threads_are_not_counted(self, registry):
+        counter = registry.counter("si_c_total")
+        with CounterScope() as scope:
+            workers = [threading.Thread(target=counter.inc)
+                       for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            counter.inc()
+        assert counter.value() == 5
+        assert scope.as_dict() == {"si_c_total": 1}
+
+    def test_closing_out_of_order_keeps_the_rest_open(self, registry):
+        counter = registry.counter("si_c_total")
+        outer = CounterScope().open()
+        inner = CounterScope().open()
+        outer.close()
+        counter.inc()
+        inner.close()
+        counter.inc()
+        assert (outer.as_dict(), inner.as_dict()) == ({}, {"si_c_total": 1})
 
 
 class TestExposition:

@@ -1,14 +1,14 @@
-"""The span tracer: nesting, the progress bridge, stat deltas,
-Chrome export, the trace-file loader, and the Table-1 byte-identity
-guarantee with tracing on."""
+"""The span tracer: nesting, per-span counter scopes, Chrome export,
+the trace-file loader, and the Table-1 byte-identity guarantee with
+tracing on."""
 
 import json
+import threading
 
 import pytest
 
 from repro.dist.jobs import canonical_row_bytes
 from repro.errors import ReproError
-from repro.mapping.progress import emit_progress
 from repro.obs.metrics import use_registry
 from repro.obs.trace import (Tracer, current_tracer, format_summary,
                              format_tree, load_trace, summarize_trace,
@@ -42,10 +42,17 @@ class TestSpans:
         span = span_by_name(tracer, "x")
         assert span.args == {"target": "csig", "outcome": "accepted"}
 
-    def test_instant_has_zero_ish_duration(self):
+    def test_unclosed_inner_span_is_closed_by_its_parent(self):
+        """Closing a span closes anything left open above it, so the
+        tree stays well-formed."""
         tracer = Tracer()
-        tracer.instant("note")
-        assert span_by_name(tracer, "note").duration is not None
+        outer = tracer.span("outer", "stage")
+        outer.__enter__()
+        tracer.span("inner", "stage").__enter__()
+        outer.__exit__(None, None, None)
+        inner = span_by_name(tracer, "inner")
+        assert inner.duration is not None
+        assert inner.parent_id == span_by_name(tracer, "outer").span_id
 
     def test_limit_drops_oldest(self):
         tracer = Tracer(limit=2)
@@ -80,38 +87,6 @@ class TestCurrentTracer:
         assert span_by_name(tracer, "seen").name == "seen"
 
 
-class TestProgressBridge:
-    def test_stage_events_become_spans(self):
-        tracer = Tracer()
-        with tracer.activate():
-            emit_progress("load", "start")
-            emit_progress("load", "done", seconds=0.25)
-        span = span_by_name(tracer, "stage:load")
-        assert span.category == "stage"
-        assert span.args["reported_seconds"] == 0.25
-
-    def test_mismatched_done_unwinds_left_open_spans(self):
-        """A `done` for an outer stage closes anything the exception
-        path left open above it — the tree stays well-formed."""
-        tracer = Tracer()
-        with tracer.activate():
-            emit_progress("outer", "start")
-            emit_progress("inner", "start")
-            emit_progress("outer", "done")
-        inner = span_by_name(tracer, "stage:inner")
-        outer = span_by_name(tracer, "stage:outer")
-        assert inner.duration is not None
-        assert inner.parent_id == outer.span_id
-
-    def test_other_statuses_become_instants(self):
-        tracer = Tracer()
-        with tracer.activate():
-            emit_progress("map", "note", detail="candidate 3")
-        span = span_by_name(tracer, "map:note")
-        assert span.category == "note"
-        assert span.args["detail"] == "candidate 3"
-
-
 class TestStatDeltas:
     def test_delta_category_attaches_counter_diffs(self):
         with use_registry() as registry:
@@ -129,6 +104,33 @@ class TestStatDeltas:
             with tracer.span("work", "map"):
                 registry.counter("si_t_total").inc()
         assert "stats" not in span_by_name(tracer, "work").args
+
+    def test_other_threads_do_not_leak_into_span_stats(self):
+        with use_registry() as registry:
+            counter = registry.counter("si_t_total")
+            tracer = Tracer()
+            with tracer.span("work", "stage"):
+                counter.inc()
+                other = threading.Thread(target=counter.inc, args=(5,))
+                other.start()
+                other.join(timeout=10)
+                assert not other.is_alive()
+        assert counter.value() == 6
+        assert span_by_name(tracer, "work").args["stats"] == {
+            "si_t_total": 1}
+
+    def test_nested_spans_each_count_their_extent(self):
+        with use_registry() as registry:
+            counter = registry.counter("si_t_total")
+            tracer = Tracer()
+            with tracer.span("outer", "job"):
+                counter.inc()
+                with tracer.span("inner", "stage"):
+                    counter.inc(2)
+        assert span_by_name(tracer, "outer").args["stats"] == {
+            "si_t_total": 3}
+        assert span_by_name(tracer, "inner").args["stats"] == {
+            "si_t_total": 2}
 
 
 class TestChromeExport:
@@ -207,9 +209,12 @@ class TestPipelineUnderTracer:
             tracer = Tracer()
             with tracer.activate():
                 Pipeline(PipelineConfig(**self.CONFIG)).run("half")
-        names = [span.name for span in tracer.snapshot()]
+        spans = {span.name: span for span in tracer.snapshot()}
         for stage in ("load", "reach", "synthesize", "map", "report"):
-            assert f"stage:{stage}" in names
+            assert spans[f"stage:{stage}"].category == "stage"
+        # a cold run computes its state graph inside the reach stage
+        assert spans["stage:reach"].args["stats"] == {
+            'si_cache_ops_total{op="miss"}': 1}
 
     def test_row_bytes_identical_with_tracing_on(self):
         """--trace must be pure observation: the Table-1 row bytes

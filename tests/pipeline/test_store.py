@@ -7,8 +7,10 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import CounterScope
 from repro.pipeline import (ArtifactCache, BatchRunner, DiskArtifactCache,
                             Pipeline, PipelineConfig)
+from repro.pipeline.run import run_counts
 from repro.pipeline.store import ARTIFACT_FORMATS, MISS, STORE_LAYOUT
 
 
@@ -222,9 +224,12 @@ class TestLayeredCache:
 
     def test_telemetry_without_disk_has_zero_counters(self):
         cache = ArtifactCache()
-        telemetry = cache.telemetry()
+        with CounterScope() as scope:
+            cache.get_or_compute(KEY, lambda: "value")
+        telemetry = run_counts(scope)
         assert telemetry["disk_hits"] == 0
-        assert telemetry["cache_misses"] == 0
+        assert telemetry["disk_writes"] == 0
+        assert telemetry["cache_misses"] == 1
 
 
 BATTERY = PipelineConfig(libraries=(2,), with_siegel=True,
