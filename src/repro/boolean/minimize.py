@@ -18,43 +18,37 @@ IRREDUNDANT by greedy covering, then one REDUCE/re-EXPAND pass to escape
 local minima.  Heuristic, but verified: the result is checked to cover
 ``on`` and avoid ``off`` before being returned.
 
-Internally everything runs on bit-integers: a vector over ``support``
-is an int, a cube is a ``(mask, value)`` pair, and cube-covers-vector is
-one AND plus one compare.  The public API speaks
+Internally a vector over ``support`` is an int and a cube a ``(mask,
+value)`` pair.  The kernels work on the transpose — one *column* bitset
+per literal, bit ``j`` set when vector ``j`` has the literal — so a
+cube's coverage of a whole vector set is the AND of its literal columns,
+at any support width.  The public API speaks
 :class:`~repro.boolean.cube.Cube` / :class:`~repro.boolean.sop.SopCover`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro._util import FrozenVector
 from repro.boolean.cube import Cube
 from repro.boolean.sop import SopCover
 from repro.errors import CoverError
 
 Vector = Mapping[str, int]
 IntCube = Tuple[int, int]  # (mask, value): v covered iff v & mask == value
-
-#: widest support that fits a signed 64-bit packed vector
-_INT64_WIDTH = 63
-
-
-def _pack_dtype(width: int) -> "np.dtype":
-    """Array dtype for packed vectors over a ``width``-signal support.
-
-    ``int64`` is the fast path; supports wider than 63 signals do not
-    fit a machine word, so the same kernels run on ``object`` arrays of
-    arbitrary-precision Python ints (slower, identical semantics).
-    """
-    return np.dtype(np.int64 if width <= _INT64_WIDTH else object)
+#: column bitsets of one vector set: ``(literals, every)`` where
+#: ``literals[2 * i + p]`` has bit ``j`` set iff vector ``j`` has signal
+#: ``i`` at polarity ``p``, and ``every`` has one bit per vector
+Columns = Tuple[List[int], int]
 
 
-def _pack_array(ints: Iterable[int], width: int) -> "np.ndarray":
-    return np.array(list(ints), dtype=_pack_dtype(width))
+def _bin_popcount(bits: int) -> int:
+    return bin(bits).count("1")
+
+
+#: number of set bits; ``int.bit_count`` only exists from Python 3.10
+_popcount = getattr(int, "bit_count", _bin_popcount)
 
 
 def _vector_int(vector: Vector, support: Sequence[str]) -> int:
@@ -108,65 +102,85 @@ def _cube_back(int_cube: IntCube, support: Sequence[str]) -> Cube:
     return Cube(literals)
 
 
-def _hits(cube: IntCube, vectors: "np.ndarray") -> bool:
+def _columns(vectors: Sequence[int], width: int) -> Columns:
+    """Transpose packed vectors into per-literal column bitsets.
+
+    The vectors are laid end to end in one big int, last vector in the
+    high bits, so its binary string holds signal ``i`` of every vector
+    at every ``width``-th digit: one slice and one parse per column,
+    bit ``j`` of the result standing for vector ``j``.
+    """
+    every = (1 << len(vectors)) - 1
+    literals = [0] * (2 * width)
+    if vectors and width:
+        full_mask = (1 << width) - 1
+        rows = 0
+        for vector in reversed(vectors):
+            rows = (rows << width) | (vector & full_mask)
+        digits = bin(rows | (1 << (width * len(vectors))))[3:]
+        for i in range(width):
+            high = int(digits[width - 1 - i::width], 2)
+            literals[2 * i], literals[2 * i + 1] = every ^ high, high
+    return literals, every
+
+
+def _cover_bits(cube: IntCube, columns: Columns) -> int:
+    """Bitset of the vectors of ``columns`` that ``cube`` covers."""
+    literals, covered = columns
     mask, value = cube
-    if len(vectors) == 0:
-        return False
-    return bool(((vectors & mask) == value).any())
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        covered &= literals[2 * i + ((value >> i) & 1)]
+        mask ^= low
+    return covered
 
 
-def _covered(cube: IntCube, vectors: Iterable[int]) -> List[int]:
-    mask, value = cube
-    return [v for v in vectors if (v & mask) == value]
+def _covered_once(cover: Sequence[int]) -> Tuple[int, int]:
+    """``(once, twice)``: the bits set in at least one and in at least
+    two of the bitsets in ``cover``."""
+    once = twice = 0
+    for bits in cover:
+        twice |= once & bits
+        once |= bits
+    return once, twice
 
 
-def _count_covered(cube: IntCube, vectors: "np.ndarray") -> int:
-    mask, value = cube
-    if len(vectors) == 0:
-        return 0
-    return int(((vectors & mask) == value).sum())
-
-
-def _expand(cube: IntCube, off: "np.ndarray", prefer: "np.ndarray",
-            width: int) -> IntCube:
+def _expand(cube: IntCube, off: Columns, prefer: Columns) -> IntCube:
     """EXPAND: greedily drop literals while staying off the OFF-set,
     favouring drops that absorb the most ON-vectors.
 
-    One broadcast per greedy step: all candidate single-literal drops
-    are tested against the whole OFF-set (and scored against the whole
-    ON-set) in two ``(vectors, candidates)`` matrix compares, instead
-    of per-candidate numpy calls.  Picks the highest gain, ties broken
-    towards the highest bit index — the same ``(gain, index)`` ordering
-    as the scalar loop it replaces.
+    Dropping literal ``k`` adds exactly the vectors that ``k`` alone
+    excludes, so one once/twice sweep over the literals' *miss* columns
+    tests every drop against the OFF-set and scores it against
+    ``prefer`` by popcount; the highest gain wins, ties going to the
+    highest bit index.  A drop that hits the OFF-set keeps hitting it
+    as the cube grows, so its literal is kept for good.
     """
     mask, value = cube
-    if width <= _INT64_WIDTH:
-        bits = np.left_shift(np.int64(1), np.arange(width, dtype=np.int64))
-    else:
-        bits = np.array([1 << i for i in range(width)], dtype=object)
-    n_off, n_prefer = len(off), len(prefer)
-    while True:
-        candidates = np.flatnonzero(mask & bits)
-        if len(candidates) == 0:
+    free = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    off_miss = [off[0][2 * i + 1 - ((value >> i) & 1)] for i in free]
+    on_miss = [prefer[0][2 * i + 1 - ((value >> i) & 1)] for i in free]
+    off_kept = on_kept = 0
+    while free:
+        once, twice = _covered_once(off_miss)
+        if off[1] & ~(once | off_kept):
+            break                    # the cube already hits the OFF-set
+        alone = once & ~twice & ~off_kept
+        for k in [k for k, miss in enumerate(off_miss) if miss & alone][::-1]:
+            del free[k]
+            off_kept |= off_miss.pop(k)
+            on_kept |= on_miss.pop(k)
+        if not free:
             break
-        wider_masks = mask & ~bits[candidates]
-        wider_values = value & ~bits[candidates]
-        if n_off:
-            allowed = np.flatnonzero(~(
-                (off[:, None] & wider_masks[None, :])
-                == wider_values[None, :]).any(axis=0))
-        else:
-            allowed = np.arange(len(candidates))
-        if len(allowed) == 0:
-            break
-        if n_prefer:
-            gains = ((prefer[:, None] & wider_masks[None, allowed])
-                     == wider_values[None, allowed]).sum(axis=0)
-            pick = allowed[np.flatnonzero(gains == gains.max())[-1]]
-        else:
-            pick = allowed[-1]
-        mask = int(wider_masks[pick])
-        value = int(wider_values[pick])
+        once, twice = _covered_once(on_miss)
+        alone = once & ~twice & ~on_kept
+        gains = [_popcount(miss & alone) for miss in on_miss]
+        pick = len(gains) - 1 - gains[::-1].index(max(gains))
+        bit = 1 << free.pop(pick)
+        del off_miss[pick], on_miss[pick]
+        mask &= ~bit
+        value &= ~bit
     return mask, value
 
 
@@ -179,81 +193,62 @@ def _contains(outer: IntCube, inner: IntCube) -> bool:
     return (i_value & o_mask) == o_value
 
 
-def _coverage_matrix(cubes: Sequence[IntCube],
-                     vectors: "np.ndarray") -> "np.ndarray":
-    """Boolean ``(len(vectors), len(cubes))`` matrix of cube-covers-
-    vector, built with one broadcast AND + compare."""
-    masks = np.array([c[0] for c in cubes], dtype=vectors.dtype)
-    values = np.array([c[1] for c in cubes], dtype=vectors.dtype)
-    return np.asarray(
-        (vectors[:, None] & masks[None, :]) == values[None, :],
-        dtype=bool)
-
-
-def _irredundant(cubes: List[IntCube], on: Sequence[int],
-                 dtype: "np.dtype" = np.dtype(np.int64)) -> List[IntCube]:
+def _irredundant(cubes: List[IntCube], on: Columns) -> List[IntCube]:
     """Greedy minimum-ish subset of ``cubes`` still covering ``on``.
 
-    Works on the coverage matrix: remaining ON-vectors are a boolean
-    row mask and per-cube cover counts are column sums, so each greedy
-    step is one matrix reduction.  Pick order matches the scalar
-    version exactly: essentials in ON order first, then first-maximal
-    ``(covered count, -literal count)`` over the pool, then a prune of
-    cubes made redundant by later picks.
+    Each cube's ON coverage is one bitset; the vectors covered exactly
+    once (``once & ~twice``) give the essentials.  Pick order:
+    essentials in ON order first, then first-maximal ``(covered count,
+    -literal count)`` over the pool, then a prune of cubes made
+    redundant by later picks.
     """
-    if not on:
+    every = on[1]
+    if not every:
         return []
-    on_array = np.array(list(on), dtype=dtype)
-    cov = _coverage_matrix(cubes, on_array) if cubes else np.zeros(
-        (len(on), 0), dtype=bool)
-    if not cov.any(axis=1).all():
+    cover = [_cover_bits(cube, on) for cube in cubes]
+    once, twice = _covered_once(cover)
+    if once != every:
         raise CoverError("irredundant step cannot make progress; "
                          "ON-set vector not covered by any implicant")
-    chosen: List[int] = []
-    # Essential cubes first.
-    counts_per_vector = cov.sum(axis=1)
-    for row in np.flatnonzero(counts_per_vector == 1):
-        owner = int(cov[row].argmax())
-        if owner not in chosen:
-            chosen.append(owner)
-    remaining = ~cov[:, chosen].any(axis=1) if chosen else np.ones(
-        len(on), dtype=bool)
-    pool = [i for i in range(len(cubes)) if i not in chosen]
-    literal_counts = [bin(c[0]).count("1") for c in cubes]
-    while remaining.any():
-        ranked = pool or chosen
-        covered = cov[remaining][:, ranked].sum(axis=0)
-        best = ranked[max(range(len(ranked)),
-                          key=lambda p: (covered[p],
-                                         -literal_counts[ranked[p]]))]
-        gained = remaining & cov[:, best]
-        if not gained.any():
+    single = once & ~twice
+    # Essential cubes first, ordered by the first vector they own.
+    owners = sorted(((bits & single) & -(bits & single), k)
+                    for k, bits in enumerate(cover) if bits & single)
+    chosen = [k for _, k in owners]
+    remaining = every & ~_covered_once([cover[k] for k in chosen])[0]
+    pool = [k for k in range(len(cubes)) if k not in chosen]
+    literal_counts = [_popcount(mask) for mask, _ in cubes]
+    while remaining:
+        best = max(pool or chosen,
+                   key=lambda k: (_popcount(cover[k] & remaining),
+                                  -literal_counts[k]))
+        if not remaining & cover[best]:
             raise CoverError("irredundant step cannot make progress")
         if best not in chosen:
             chosen.append(best)
-        remaining &= ~cov[:, best]
+        remaining &= ~cover[best]
     # Drop cubes made redundant by later picks.
     pruned = list(chosen)
     for index in list(chosen):
-        trial = [i for i in pruned if i != index]
-        if trial and cov[:, trial].any(axis=1).all():
+        trial = [k for k in pruned if k != index]
+        if trial and _covered_once([cover[k] for k in trial])[0] == every:
             pruned = trial
-    return [cubes[i] for i in pruned]
+    return [cubes[k] for k in pruned]
 
 
-def _reduce(cube: IntCube, owned: Sequence[int], width: int) -> IntCube:
+def _reduce(cube: IntCube, owned: int, on: Columns) -> IntCube:
     """REDUCE: shrink a cube to the supercube of the ON-vectors only it
-    covers (so the next EXPAND can take a different direction)."""
+    covers (the ``owned`` bitset), so the next EXPAND can take a
+    different direction."""
     if not owned:
         return cube
-    full_mask = (1 << width) - 1
-    common_ones = full_mask
-    common_zeros = full_mask
-    for v in owned:
-        common_ones &= v
-        common_zeros &= ~v
-    mask = (common_ones | common_zeros) & full_mask
-    value = common_ones & mask
+    literals = on[0]
+    mask = value = 0
+    for i in range(len(literals) // 2):
+        high = not owned & literals[2 * i]   # every owned vector high
+        if high or not owned & literals[2 * i + 1]:
+            mask |= 1 << i
+            value |= high << i
     outer_mask, outer_value = cube
     # Only shrink (never move outside the original cube).
     if (outer_mask & ~mask) or ((value & outer_mask) != outer_value):
@@ -308,50 +303,45 @@ def minimize(on: Iterable[Vector], off: Iterable[Vector],
         return SopCover.one()
 
     full_mask = (1 << width) - 1
-    off_array = _pack_array(off_ints, width)
-    on_array = _pack_array(on_ints, width)
+    off_columns = _columns(off_ints, width)
+    on_columns = _columns(on_ints, width)
+    on_index = {v: j for j, v in enumerate(on_ints)}
     cubes: List[IntCube] = [(full_mask, v) for v in on_ints]
     for round_index in range(max(1, passes)):
-        # Espresso-style EXPAND with covered-minterm skipping: a cube
-        # whose seed minterm is already absorbed by an earlier prime is
-        # not expanded (IRREDUNDANT would drop it anyway).
+        # Espresso-style EXPAND with covered-minterm skipping: a seed
+        # minterm (full-mask cubes are always ON vectors) already in the
+        # ON coverage of an earlier prime is not expanded (IRREDUNDANT
+        # would drop it anyway).
         expanded: List[IntCube] = []
+        absorbed = 0
         for cube in cubes:
-            seed = cube[1] & full_mask if cube[0] == full_mask else None
-            if seed is not None and any(
-                    (seed & mask) == value for mask, value in expanded):
+            if cube[0] == full_mask and \
+                    (absorbed >> on_index[cube[1] & full_mask]) & 1:
                 continue
-            expanded.append(_expand(cube, off_array, on_array, width))
+            prime = _expand(cube, off_columns, on_columns)
+            expanded.append(prime)
+            absorbed |= _cover_bits(prime, on_columns)
         kept: List[IntCube] = []
-        for cube in sorted(set(expanded),
-                           key=lambda c: bin(c[0]).count("1")):
+        for cube in sorted(set(expanded), key=lambda c: _popcount(c[0])):
             if not any(_contains(other, cube) for other in kept):
                 kept.append(cube)
-        cubes = _irredundant(kept, on_ints, _pack_dtype(width))
+        cubes = _irredundant(kept, on_columns)
         if round_index + 1 < passes:
-            # A vector is "owned" by a cube iff that cube is the only
-            # one covering it: rows of the coverage matrix with exactly
-            # one True.  (_irredundant returns distinct cubes, so
-            # "the others" is a column complement.)
-            cov = _coverage_matrix(cubes, on_array)
-            owned_rows = cov.sum(axis=1) == 1
-            cubes = [
-                _reduce(cube,
-                        [int(v) for v in on_array[owned_rows & cov[:, k]]],
-                        width)
-                for k, cube in enumerate(cubes)]
+            # A cube owns the vectors that no other cube covers.
+            cover = [_cover_bits(cube, on_columns) for cube in cubes]
+            once, twice = _covered_once(cover)
+            cubes = [_reduce(cube, bits & once & ~twice, on_columns)
+                     for cube, bits in zip(cubes, cover)]
 
     result = SopCover(_cube_back(c, support) for c in cubes)
-    _verify(cubes, on_array, off_array)
+    _verify(cubes, on_columns, off_columns)
     return result
 
 
-def _verify(cubes: Sequence[IntCube], on: "np.ndarray",
-            off: "np.ndarray") -> None:
-    cov_on = _coverage_matrix(cubes, on)
-    if not cov_on.any(axis=1).all():
+def _verify(cubes: Sequence[IntCube], on: Columns, off: Columns) -> None:
+    if _covered_once([_cover_bits(c, on) for c in cubes])[0] != on[1]:
         raise CoverError("minimized cover misses an ON vector")
-    if _coverage_matrix(cubes, off).any():
+    if any(_cover_bits(c, off) for c in cubes):
         raise CoverError("minimized cover hits an OFF vector")
 
 
@@ -365,12 +355,12 @@ def expand_cube(cube: Cube, off: Sequence[Vector],
     support = sorted(set(cube.support)
                      | {n for v in off for n in v.keys()}
                      | {n for v in (prefer or []) for n in v.keys()})
-    off_ints = _pack_array((_vector_int(v, support) for v in off),
-                           len(support))
-    prefer_ints = _pack_array((_vector_int(v, support)
-                               for v in (prefer or [])), len(support))
-    expanded = _expand(_cube_int(cube, support), off_ints, prefer_ints,
-                       len(support))
+    width = len(support)
+    off_columns = _columns([_vector_int(v, support) for v in off], width)
+    prefer_columns = _columns([_vector_int(v, support)
+                               for v in (prefer or [])], width)
+    expanded = _expand(_cube_int(cube, support), off_columns,
+                       prefer_columns)
     return _cube_back(expanded, support)
 
 

@@ -166,6 +166,7 @@ def _grow(sg: StateGraph, seed: Set[State], half: Set[State],
     inside one half-space."""
     region = set(seed)
     diamond_index = sg.diamond_index()
+    enc = sg.encoding()
 
     def pull(state: State, reason: str) -> bool:
         if state in region:
@@ -184,7 +185,7 @@ def _grow(sg: StateGraph, seed: Set[State], half: Set[State],
         # monotone (pull only adds), but which violation raises first —
         # and hence the error message — must not depend on the hash
         # seed.
-        for state in sorted(region, key=repr):
+        for state in enc.states_by_repr(enc.bitset(region)):
             for _, source in sg.predecessors(state):
                 if source in half and source not in region:
                     changed |= pull(source, "well-formedness")
@@ -192,7 +193,7 @@ def _grow(sg: StateGraph, seed: Set[State], half: Set[State],
         # an input arc leaving the region must stay observable, so its
         # target is pulled into the region (extending ER "beyond the
         # ER(b*)" in the paper's words).
-        for state in sorted(region, key=repr):
+        for state in enc.states_by_repr(enc.bitset(region)):
             for event, target in sg.successors(state):
                 if not sg.is_input_event(event):
                     continue
@@ -208,7 +209,7 @@ def _grow(sg: StateGraph, seed: Set[State], half: Set[State],
         # the region can be out of balance.
         touched = []
         seen_ids: Set[int] = set()
-        for state in sorted(region, key=repr):
+        for state in enc.states_by_repr(enc.bitset(region)):
             for diamond in diamond_index.get(state, ()):
                 if id(diamond) not in seen_ids:
                     seen_ids.add(id(diamond))

@@ -45,7 +45,7 @@ class Encoding:
     __slots__ = ("signals", "bit", "states", "index", "codes",
                  "full_mask", "succ_bits", "pred_bits", "_event_bits",
                  "_event_arcs", "_excited_bits", "_value_bits",
-                 "_closure_cache")
+                 "_closure_cache", "_repr_rank")
 
     def __init__(self, sg: StateGraph):
         signals = sg.signals
@@ -92,6 +92,7 @@ class Encoding:
         self._event_arcs = event_arcs
         self._value_bits: Dict[str, int] = {}
         self._closure_cache: Dict[Tuple[Event, int], int] = {}
+        self._repr_rank: List[int] = []
 
     # ------------------------------------------------------------------
     # Bitset plumbing
@@ -114,6 +115,20 @@ class Encoding:
             out.append(states[low.bit_length() - 1])
             bits ^= low
         return out
+
+    def states_by_repr(self, bits: int) -> List[State]:
+        """``sorted(self.states_of(bits), key=repr)`` — an order that
+        does not depend on the hash seed — from a table of repr ranks
+        built on first use."""
+        rank = self._repr_rank
+        if len(rank) != len(self.states):
+            order = sorted(range(len(self.states)),
+                           key=lambda i: repr(self.states[i]))
+            rank = self._repr_rank = [0] * len(order)
+            for position, i in enumerate(order):
+                rank[i] = position
+        return [self.states[i]
+                for i in sorted(self.iter_bits(bits), key=rank.__getitem__)]
 
     @staticmethod
     def iter_bits(bits: int) -> Iterator[int]:

@@ -186,11 +186,9 @@ def _synthesize_group(sg: StateGraph, group: Sequence[ExcitationRegion],
         on_ints = sorted({enc.project(c, support) for c in on_ints})
         off_ints = {enc.project(c, support) for c in off_ints}
 
-    ordered_quiescent = sorted(enc.states_of(quiescent_bits), key=repr)
     for _ in range(len(sg.states) + 1):
         cover = minimize(on_ints, sorted(off_ints), support)
-        violation = _monotonicity_violation(sg, cover, quiescent_bits,
-                                            ordered_quiescent)
+        violation = _monotonicity_violation(sg, cover, quiescent_bits)
         if violation is None:
             complement = minimize(sorted(off_ints), on_ints, support)
             return RegionCover(tuple(group), cover, complement,
@@ -234,26 +232,20 @@ def synthesize_event_covers(sg: StateGraph, event: str,
 
 
 def _monotonicity_violation(sg: StateGraph, cover: SopCover,
-                            quiescent_bits: int,
-                            ordered: Optional[Sequence[State]] = None
-                            ) -> Optional[int]:
+                            quiescent_bits: int) -> Optional[int]:
     """First quiescent state whose cover value *rises* along an arc
     inside the quiescent region; its packed code must be forced OFF.
 
     States are visited in sorted (repr) order: iterating the raw set
     would make the first forced-OFF state — and hence the repaired
     cover — depend on hash order, which varies across interpreter runs
-    for string-bearing state identities.  Callers that probe repeatedly
-    (the repair loop) pass the pre-sorted ``ordered`` sequence to avoid
-    re-sorting per iteration.  Cover evaluation runs on the packed
-    codes: one AND + compare per cube.
+    for string-bearing state identities.  Cover evaluation runs on the
+    packed codes: one AND + compare per cube.
     """
     enc = sg.encoding()
-    if ordered is None:
-        ordered = sorted(enc.states_of(quiescent_bits), key=repr)
     cubes = [_cube_int(cube, enc.signals) for cube in cover]
     codes, index = enc.codes, enc.index
-    for state in ordered:
+    for state in enc.states_by_repr(quiescent_bits):
         code = codes[index[state]]
         if any((code & mask) == value for mask, value in cubes):
             continue

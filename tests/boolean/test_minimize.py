@@ -99,11 +99,34 @@ class TestExpandCube:
         cube = Cube.from_string("a b")
         assert expand_cube(cube, off) == cube
 
+    def test_empty_prefer_breaks_ties_towards_last_signal(self):
+        off = [FrozenVector({"a": 0, "b": 0, "c": 0})]
+        cube = Cube.from_string("a b c")
+        assert expand_cube(cube, off, prefer=[]) == Cube.from_string("a")
+        assert expand_cube(cube, off) == Cube.from_string("a")
+
+    def test_empty_off_expands_to_the_universe(self):
+        assert expand_cube(Cube.from_string("a b'"), []) == Cube({})
+        assert expand_cube(Cube({}), []) == Cube({})
+
+    def test_single_vector_off_and_prefer(self):
+        off = [FrozenVector({"a": 1, "b": 1, "c": 0})]
+        prefer = [FrozenVector({"a": 1, "b": 0, "c": 1})]
+        cube = Cube.from_string("a b c")
+        # Dropping b absorbs the preferred vector; c alone then still
+        # avoids the OFF vector while keeping it.
+        assert expand_cube(cube, off, prefer) == Cube.from_string("c")
+
+    def test_cube_already_hitting_off_is_returned_unchanged(self):
+        off = [FrozenVector({"a": 1, "b": 1})]
+        cube = Cube.from_string("a")
+        assert expand_cube(cube, off) == cube
+
 
 class TestWideSupport:
-    """Supports wider than 63 signals do not fit the int64 packing;
-    the kernels must fall back to object arrays of Python ints instead
-    of raising OverflowError."""
+    """Supports wider than 63 signals do not fit a machine word; the
+    packed vectors and column bitsets are Python ints, so the kernels
+    must give the same answers past that boundary."""
 
     SUPPORT = [f"s{i:02d}" for i in range(70)]
 

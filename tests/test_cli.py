@@ -1,7 +1,13 @@
 """Tests for the ``si-mapper`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 CELEMENT = """
@@ -321,3 +327,15 @@ class TestTracing:
         assert "error:" in err
         import os
         assert os.path.exists(trace)
+
+
+def test_map_runs_without_numpy():
+    # The mapper needs nothing beyond the standard library: a fresh
+    # interpreter that maps a circuit must not have loaded numpy.
+    code = ("import sys, repro.cli; "
+            "status = repro.cli.main(['map', 'half', '-k', '2']); "
+            "print('numpy' in sys.modules, status)")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False 0"
