@@ -189,10 +189,6 @@ class Cube:
         return Cube({name: value for name, value in self._literals
                      if name not in drop})
 
-    def expand_against(self, name: str) -> "Cube":
-        """Remove one literal (EXPAND primitive)."""
-        return self.without([name])
-
     def rename(self, mapping: Mapping[str, str]) -> "Cube":
         """Rename support signals according to ``mapping``."""
         return Cube({mapping.get(name, name): value
@@ -206,20 +202,6 @@ class Cube:
         # Rebuild through __init__ so pickles stay independent of the
         # slot layout (cubes live inside on-disk artifact stores).
         return (Cube, (self._map,))
-
-    def __setstate__(self, state):
-        # Pickles written before ``_map`` existed (slot layout
-        # ``(_literals, _hash)``, default slot-state protocol) still
-        # live in on-disk artifact stores; rebuild every derived field
-        # from the literal tuple so they load into the current layout.
-        # ``_hash`` is recomputed, never restored: string hashes are
-        # salted per process, so a stored hash from another process
-        # would disagree with freshly built equal cubes.
-        slots = state[1] if isinstance(state, tuple) else state
-        self._literals = tuple(
-            tuple(item) for item in (slots or {}).get("_literals", ()))
-        self._map = dict(self._literals)
-        self._hash = hash(self._literals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cube):

@@ -1,6 +1,6 @@
 """S3-compatible artifact-store backend.
 
-:class:`ObjectStoreArtifactCache` files the same codec-stamped
+:class:`ObjectStoreArtifactCache` files the same
 envelopes every other backend moves (:mod:`repro.dist.envelope`) as
 objects under ``bucket/prefix/<layout>/<kind>/<digest>`` — identical
 content addresses, identical bytes — so serverless shard workers can
@@ -13,8 +13,7 @@ Two transports, picked automatically:
   speaking the unsigned path-style S3 REST subset — ``GET/PUT/DELETE
   /{bucket}/{key}`` plus ``list-type=2`` listings — against anything
   S3-compatible that allows anonymous access (MinIO in dev mode, the
-  in-process :class:`~repro.dist.s3fake.FakeS3Server`, a signing
-  proxy);
+  test suite's in-process fake, a signing proxy);
 * a **boto3 transport**, used when no explicit endpoint is given and
   ``boto3`` is importable — real AWS with the usual credential chain.
 
@@ -44,7 +43,7 @@ from typing import Any, Hashable, Iterator, List, Optional, Tuple
 
 from repro.dist.envelope import (ARTIFACT_FORMATS, STORE_LAYOUT,
                                  decode_entry, digest_of, encode_entry,
-                                 kind_of, resolve_codec)
+                                 kind_of)
 from repro.dist.remote import _NETWORK_ERRORS
 from repro.errors import StoreConfigError
 from repro.pipeline.store import MISS, StoreReport, StoreStats
@@ -292,13 +291,12 @@ class ObjectStoreArtifactCache:
     """
 
     def __init__(self, spec: str, timeout: float = 10.0,
-                 cooldown: float = 30.0, codec: Optional[str] = None,
+                 cooldown: float = 30.0,
                  transport: Optional[Any] = None):
         endpoint, bucket, prefix = parse_object_store_spec(spec)
         self.spec = spec
         self.bucket = bucket
         self.prefix = prefix
-        self.codec = resolve_codec(codec)
         self.cooldown = cooldown
         self.stats = StoreStats("s3")
         self._down_until = 0.0
@@ -390,7 +388,7 @@ class ObjectStoreArtifactCache:
         if version is None:
             return False
         try:
-            data = encode_entry(key, value, version, codec=self.codec)
+            data = encode_entry(key, value, version)
         except Exception:
             self.stats.add(write_skips=1)
             return False
@@ -430,7 +428,7 @@ class ObjectStoreArtifactCache:
 
         Listings carry no envelope headers, so the raw size of each
         entry is unknown without a download: stored stands in for raw
-        (ratio 1.0), exactly like a pre-codec server's ``/stats``.
+        (ratio 1.0).
         """
         root = f"s3://{self.bucket}/{self.prefix}".rstrip("/")
         report = StoreReport(root=root)

@@ -3,7 +3,7 @@
 :class:`RemoteArtifactCache` speaks the serve daemon's tiny
 content-addressed protocol (``GET/PUT /artifact/<kind>/<digest>``)
 over stdlib ``urllib`` — no third-party dependencies.  Entries travel
-in the exact codec-stamped envelope every other backend moves
+in the exact envelope every other backend moves
 (:mod:`repro.dist.envelope`), and the *client* checks the per-kind
 :data:`~repro.dist.envelope.ARTIFACT_FORMATS` stamp after download, so
 a schema bump on one worker never poisons another.
@@ -11,11 +11,7 @@ a schema bump on one worker never poisons another.
 Transfers never require whole-entry buffers on the server: downloads
 go in ranged chunks (``Range``/``Content-Range``; a pre-range server
 answering ``200`` with the whole body still works) and uploads stream
-a spooled body with an explicit ``Content-Length``.  Every request
-advertises the codecs this interpreter can decompress
-(``X-SI-Codecs``), so a v2 server knows it may ship ``zlib``/``zstd``
-envelopes — and falls back to ``identity`` for clients that predate
-the stamp.
+a spooled body with an explicit ``Content-Length``.
 
 Failure model: the store is an accelerator.  Every network problem —
 connection refused, timeout, a 5xx — degrades to a cache miss (or a
@@ -40,9 +36,8 @@ import urllib.parse
 import urllib.request
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from repro.dist.envelope import (ARTIFACT_FORMATS, available_codecs,
-                                 decode_entry, digest_of, encode_entry,
-                                 kind_of, resolve_codec)
+from repro.dist.envelope import (ARTIFACT_FORMATS, decode_entry,
+                                 digest_of, encode_entry, kind_of)
 from repro.pipeline.store import (MISS, DiskArtifactCache, StoreReport,
                                   StoreStats)
 
@@ -63,22 +58,19 @@ class RemoteArtifactCache:
     Content-addressed exactly like the disk store: an entry's address
     is ``(kind, sha256(repr(key)))``, its body is the shared envelope.
     Downloads are validated against the local
-    :data:`ARTIFACT_FORMATS` stamp before use.  ``codec`` names what
-    uploads are compressed with; ``chunk_bytes`` bounds how much of an
-    entry is requested per ranged GET.
+    :data:`ARTIFACT_FORMATS` stamp before use.  ``chunk_bytes`` bounds
+    how much of an entry is requested per ranged GET.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0,
                  cooldown: float = 30.0,
-                 chunk_bytes: int = 4 * 1024 * 1024,
-                 codec: Optional[str] = None):
+                 chunk_bytes: int = 4 * 1024 * 1024):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         #: seconds to stop talking to the server after a network
         #: failure; 0 retries every request (tests use that)
         self.cooldown = cooldown
         self.chunk_bytes = max(1, int(chunk_bytes))
-        self.codec = resolve_codec(codec)
         self.stats = StoreStats("remote")
         self._down_until = 0.0
 
@@ -121,12 +113,8 @@ class RemoteArtifactCache:
         protocol violation such as a no-progress chunk), which the
         caller maps to a miss + cooldown.
         """
-        codec_header = {"X-SI-Codecs": ", ".join(available_codecs())}
-
         def ranged(first: int, last: int) -> Dict[str, str]:
-            headers = dict(codec_header)
-            headers["Range"] = f"bytes={first}-{last}"
-            return headers
+            return {"Range": f"bytes={first}-{last}"}
 
         with self._open("GET", path, headers=ranged(
                 0, self.chunk_bytes - 1)) as response:
@@ -218,7 +206,7 @@ class RemoteArtifactCache:
         if version is None:
             return False
         try:
-            data = encode_entry(key, value, version, codec=self.codec)
+            data = encode_entry(key, value, version)
         except Exception:
             self.stats.add(write_skips=1)
             return False
@@ -264,28 +252,19 @@ class RemoteArtifactCache:
     # ------------------------------------------------------------------
 
     def report(self) -> StoreReport:
-        """The server's inventory; empty when unreachable.
-
-        ``by_kind`` entries come as 2-tuples from pre-codec servers
-        (no raw-size accounting — stored stands in for raw) and as
-        3-tuples from current ones.
-        """
+        """The server's inventory; empty when unreachable."""
         report = StoreReport(root=self.base_url)
         try:
             data = self._request("GET", "/stats")
             inventory = json.loads(data.decode("utf-8"))
-        except (*_NETWORK_ERRORS, ValueError):
+            by_kind = {kind: (int(count), int(stored), int(raw))
+                       for kind, (count, stored, raw)
+                       in inventory.get("by_kind", {}).items()}
+        except (*_NETWORK_ERRORS, ValueError, TypeError):
             return report
         report.entries = int(inventory.get("entries", 0))
         report.bytes = int(inventory.get("bytes", 0))
-        report.raw_bytes = int(inventory.get("raw_bytes",
-                                             report.bytes))
-        by_kind: Dict[str, Tuple[int, int, int]] = {}
-        for kind, counts in inventory.get("by_kind", {}).items():
-            counts = list(counts)
-            count, stored = int(counts[0]), int(counts[1])
-            raw = int(counts[2]) if len(counts) > 2 else stored
-            by_kind[kind] = (count, stored, raw)
+        report.raw_bytes = int(inventory.get("raw_bytes", 0))
         report.by_kind = by_kind
         return report
 
@@ -365,8 +344,7 @@ class TieredStore:
         if version is None:
             return False
         try:
-            data = encode_entry(key, value, version,
-                                codec=self.local.codec)
+            data = encode_entry(key, value, version)
         except Exception:
             self.local.stats.add(write_skips=1)
             self.remote.stats.add(write_skips=1)

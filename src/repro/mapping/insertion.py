@@ -23,7 +23,7 @@ depends on the growth heuristics in :mod:`repro.mapping.partition`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro._util import FrozenVector
 from repro.errors import InsertionError
@@ -54,11 +54,6 @@ class InsertionChanges:
 
     def is_split(self, state: State) -> bool:
         return state in self.split_states
-
-    def level_of(self, state: State) -> Optional[int]:
-        """Level of an unsplit state's single copy (None if split or
-        no copy survived pruning)."""
-        return self.levels.get(state)
 
     def copy_of(self, state: State) -> State:
         """New-graph identity of an unsplit state's single copy."""

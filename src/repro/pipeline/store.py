@@ -15,7 +15,7 @@ backend (:class:`~repro.dist.remote.RemoteArtifactCache`), the
 S3-compatible :class:`~repro.dist.objectstore.ObjectStoreArtifactCache`,
 the write-through :class:`~repro.dist.remote.TieredStore`, and the
 ``si-mapper serve`` daemon that exposes one of these stores to a
-cluster.  All backends share one wire/disk format — the codec-stamped
+cluster.  All backends share one wire/disk format — the
 *envelope* of :mod:`repro.dist.envelope` — so an entry written by a
 worker's disk store is byte-compatible with one PUT over HTTP or
 filed in an object store.
@@ -29,10 +29,8 @@ Safety properties:
 * **versioned** — every entry carries the :data:`ARTIFACT_FORMATS`
   stamp of its kind; after a schema bump old entries are *ignored*
   (recomputed and overwritten), never unpickled into new code;
-* **codec-stamped** — payloads are compressed (``zlib`` by default)
-  and the envelope header records the codec, so pre-compression v1
-  entries keep hitting (codec defaults to ``identity``) and are
-  lazily re-encoded compressed on their first warm read;
+* **compressed** — payloads are ``zlib``-compressed and the envelope
+  header records the codec actually used;
 * **atomic** — writes go to a temp file in the destination directory
   and land via ``os.replace``, so concurrent readers (other worker
   processes sharing the store) see either the old complete entry or
@@ -57,8 +55,7 @@ from typing import (Any, BinaryIO, Dict, Hashable, Iterable, List,
 from repro.dist.envelope import (ARTIFACT_FORMATS,  # noqa: F401 -
                                  STORE_LAYOUT,      # re-exported API
                                  decode_entry, digest_of, encode_entry,
-                                 kind_of, raw_size_of, read_header,
-                                 resolve_codec, transcode,
+                                 kind_of, read_header,
                                  HEADER_PROBE_BYTES)
 from repro.obs.metrics import default_registry
 
@@ -235,7 +232,7 @@ class _AtomicWriter:
 
 
 class DiskArtifactCache:
-    """Content-addressed, versioned, codec-stamped store under one
+    """Content-addressed, versioned, compressed store under one
     directory.
 
     Instances are cheap: workers each build their own against the same
@@ -243,14 +240,11 @@ class DiskArtifactCache:
     The root directory is created lazily on the first write, so
     read-only operations (``cache stats`` on a store that does not
     exist yet) see an empty inventory instead of a side effect or an
-    error.  ``codec`` names the envelope codec new writes use
-    (default ``zlib``); reads accept any stamped codec, and a v1
-    (pre-codec) entry is re-encoded compressed on its first warm hit.
+    error.
     """
 
-    def __init__(self, root: str, codec: Optional[str] = None):
+    def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        self.codec = resolve_codec(codec)
         self.stats = StoreStats("disk")
 
     # ------------------------------------------------------------------
@@ -276,10 +270,7 @@ class DiskArtifactCache:
         entry is a miss.  Corrupt entries are unlinked best-effort so
         they do not cost a failed unpickle on every later run.  A hit
         refreshes the entry's mtime — ``gc(max_bytes=...)`` evicts
-        least-recently-*used*, not least-recently-written.  A hit on a
-        pre-codec v1 entry re-encodes it under this store's codec in
-        place (atomic, best-effort), migrating warm stores to the
-        compressed format one entry at a time.
+        least-recently-*used*, not least-recently-written.
         """
         expected = ARTIFACT_FORMATS.get(kind_of(key))
         if expected is None:
@@ -300,25 +291,8 @@ class DiskArtifactCache:
             self.stats.add(stale=1)
             return MISS
         self.stats.add(hits=1, bytes_read=len(data))
-        self._maybe_reencode(path, data)
         self._touch(path)
         return payload
-
-    def _maybe_reencode(self, path: str, data: bytes) -> None:
-        """Lazy v1 -> v2 migration: a warm hit on an entry with no
-        codec stamp rewrites it under this store's codec (when that
-        actually shrinks it).  Best-effort and atomic — a reader that
-        loses the race sees either complete version."""
-        if self.codec == "identity":
-            return
-        parsed = read_header(data)
-        if parsed is None or "codec" in parsed[0]:
-            return
-        recoded = transcode(data, self.codec)
-        if recoded is None or len(recoded) >= len(data):
-            return
-        if self._write_atomically(path, recoded):
-            self.stats.add(writes=1, bytes_written=len(recoded))
 
     def put(self, key: Hashable, value: Any) -> bool:
         """Persist an artifact; ``False`` if it was skipped.
@@ -330,7 +304,7 @@ class DiskArtifactCache:
         if version is None:
             return False
         try:
-            data = encode_entry(key, value, version, codec=self.codec)
+            data = encode_entry(key, value, version)
         except Exception:
             self.stats.add(write_skips=1)
             return False
@@ -520,8 +494,7 @@ class DiskArtifactCache:
     def report(self) -> StoreReport:
         """Inventory of the store: entries, stored vs raw bytes, per
         kind.  Only entry *headers* are read (for the ``raw_size``
-        stamp) — a v1 entry's payload is raw pickle, so its stored
-        body length stands in for its raw size.
+        stamp); an unreadable header counts its stored size as raw.
 
         A missing root is simply an empty store — pointing ``cache
         stats`` at a directory that does not exist yet must not fail.
@@ -533,13 +506,9 @@ class DiskArtifactCache:
             except OSError:
                 continue
             parsed = self._read_entry_header(path)
-            if parsed is None:
+            raw = parsed[0].get("raw_size") if parsed else None
+            if not isinstance(raw, int) or raw < 0:
                 raw = size
-            else:
-                header, offset = parsed
-                raw_size = header.get("raw_size")
-                raw = (raw_size if isinstance(raw_size, int)
-                       and raw_size >= 0 else size - offset)
             report.entries += 1
             report.bytes += size
             report.raw_bytes += raw
@@ -559,9 +528,7 @@ class DiskArtifactCache:
         format stamps or unreadable headers, leftover temp files, and
         (optionally) entries older than ``max_age_seconds``.  Only the
         small metadata header of each entry is read, never the
-        payload — a v1 entry (no codec stamp) and a v2 one are equally
-        judged by their format stamps, so a mixed-era store is gc'd
-        without recompressing or crashing anything.
+        payload.
 
         With ``max_bytes``, the surviving entries are then evicted
         least-recently-used (by mtime, which :meth:`get` refreshes)
@@ -692,6 +659,5 @@ class DiskArtifactCache:
 
     def __repr__(self) -> str:
         return (f"DiskArtifactCache({self.root!r}, "
-                f"codec={self.codec!r}, "
                 f"hits={self.stats.hits}, misses={self.stats.misses}, "
                 f"writes={self.stats.writes})")

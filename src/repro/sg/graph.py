@@ -69,10 +69,6 @@ class Diamond:
     def path_a_first(self) -> Tuple[State, State, State]:
         return (self.bottom, self.side_a, self.top)
 
-    @property
-    def path_b_first(self) -> Tuple[State, State, State]:
-        return (self.bottom, self.side_b, self.top)
-
 
 class StateGraph:
     """A mutable labelled transition system with binary-encoded states."""
@@ -90,7 +86,9 @@ class StateGraph:
         self._succ: Dict[State, List[Tuple[Event, State]]] = {}
         self._pred: Dict[State, List[Tuple[Event, State]]] = {}
         self._initial: Optional[State] = None
-        self._diamond_cache: Optional[List[Diamond]] = None
+        #: ``(diamonds, state -> diamonds index)``, built together
+        self._diamond_cache: Optional[Tuple[
+            List[Diamond], Dict[State, List[Diamond]]]] = None
         self._order_cache: Optional[Dict[State, int]] = None
         self._encoding_cache = None  # repro.sg.encoding.Encoding
 
@@ -313,8 +311,19 @@ class StateGraph:
         commutativity/persistency violations, reported by the property
         checks, not here.)
         """
+        return list(self._diamonds_indexed()[0])
+
+    def diamond_index(self) -> Dict[State, List[Diamond]]:
+        """Map each state to the diamonds containing it (cached with
+        :meth:`diamonds`; used by region-growth loops that only care
+        about diamonds touching a state set).  The cached dict itself
+        is returned: treat it as read-only."""
+        return self._diamonds_indexed()[1]
+
+    def _diamonds_indexed(self) -> Tuple[List[Diamond],
+                                         Dict[State, List[Diamond]]]:
         if self._diamond_cache is not None:
-            return list(self._diamond_cache)
+            return self._diamond_cache
         diamonds: List[Diamond] = []
         for bottom in self._codes:
             arcs = self._succ[bottom]
@@ -329,22 +338,23 @@ class StateGraph:
                     for top in sorted(tops_ab & tops_ba, key=repr):
                         diamonds.append(Diamond(bottom, event_a, event_b,
                                                 side_a, side_b, top))
-        self._diamond_cache = diamonds
-        return list(diamonds)
-
-    def diamond_index(self) -> Dict[State, List[Diamond]]:
-        """Map each state to the diamonds containing it (cached via
-        :meth:`diamonds`; used by region-growth loops that only care
-        about diamonds touching a state set)."""
         index: Dict[State, List[Diamond]] = {}
-        for diamond in self.diamonds():
+        for diamond in diamonds:
             for state in diamond.states:
                 index.setdefault(state, []).append(diamond)
-        return index
+        self._diamond_cache = (diamonds, index)
+        return self._diamond_cache
 
     # ------------------------------------------------------------------
     # Serialization helpers
     # ------------------------------------------------------------------
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickles skip the diamond cache: it is rebuilt on demand, and
+        # its per-state index would only grow every stored artifact.
+        state = dict(self.__dict__)
+        state["_diamond_cache"] = None
+        return state
 
     def copy(self, name: Optional[str] = None) -> "StateGraph":
         clone = StateGraph(name or self.name, self._inputs, self._outputs)

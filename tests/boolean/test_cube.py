@@ -1,7 +1,5 @@
 """Unit tests for :mod:`repro.boolean.cube`."""
 
-import copyreg
-import io
 import pickle
 
 import pytest
@@ -143,32 +141,3 @@ class TestPlumbing:
         assert restored == cube
         assert hash(restored) == hash(cube)
         assert restored.polarity("b") == 0
-
-    def test_unpickles_legacy_slot_state(self):
-        """Artifact-store entries written before ``_map`` existed carry
-        default slot-state pickles (``NEWOBJ(Cube)`` + ``BUILD`` with
-        only ``_literals``/``_hash``); they must restore into the
-        current layout with every derived field rebuilt."""
-        cube = Cube({"a": 1, "b": 0})
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=2)
-        # Emit the exact reduce shape the pre-_map Cube pickled with:
-        # no __reduce__, so NEWOBJ plus the slot-state dict (with a
-        # stale _hash from some other process's hash seed).
-        pickler.dispatch_table = {
-            Cube: lambda obj: (copyreg.__newobj__, (Cube,),
-                               (None, {"_literals": obj._literals,
-                                       "_hash": -12345}))}
-        pickler.dump(cube)
-
-        restored = pickle.loads(buffer.getvalue())
-        assert isinstance(restored, Cube)
-        assert restored == Cube({"a": 1, "b": 0})
-        # The derived dict twin works (this raised AttributeError
-        # before __setstate__ existed)...
-        assert restored.polarity("a") == 1
-        assert restored.polarity("z") is None
-        assert restored.contains(Cube({"a": 1, "b": 0, "c": 1}))
-        assert restored.distance(Cube({"a": 0, "b": 0})) == 1
-        # ...and the stale cross-process hash is not trusted.
-        assert hash(restored) == hash(Cube({"a": 1, "b": 0}))

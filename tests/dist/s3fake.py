@@ -12,7 +12,7 @@ It is deliberately *not* a general S3: no auth, no versioning, no
 multipart — anything outside the transport subset is a 400/404.  The
 ``__main__`` hook runs it standalone for shell-driven smoke tests::
 
-    python -m repro.dist.s3fake --port 9000 &
+    python -m tests.dist.s3fake --port 9000 &
     si-mapper report half --cache-s3 http://127.0.0.1:9000/si-cache/t1
 """
 
@@ -274,7 +274,7 @@ class FakeS3Server(ThreadingHTTPServer):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.dist.s3fake`` — run the fake standalone."""
+    """``python -m tests.dist.s3fake`` — run the fake standalone."""
     parser = argparse.ArgumentParser(
         description="in-process S3-compatible object store "
                     "(tests / CI smoke only: no auth, no persistence)")

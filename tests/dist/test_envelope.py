@@ -1,5 +1,5 @@
-"""The shared envelope format: codecs, v1 interop, transcoding, and
-codec negotiation — the seam every storage backend moves bytes
+"""The shared envelope format: encode/decode, the not-smaller fallback
+and the miss outcomes — the seam every storage backend moves bytes
 through."""
 
 import pickle
@@ -8,64 +8,58 @@ import zlib
 import pytest
 
 from repro.dist import envelope
-from repro.dist.envelope import (ARTIFACT_FORMATS, available_codecs,
-                                 codec_of, decode_entry, encode_entry,
-                                 negotiate_codecs, plausible_envelope,
-                                 raw_size_of, read_header,
-                                 resolve_codec, transcode)
+from repro.dist.envelope import (ARTIFACT_FORMATS, decode_entry,
+                                 encode_entry, plausible_envelope,
+                                 read_header)
 
 KEY = ("sg", "a" * 64)
 #: a payload that deflates extremely well (like real state graphs)
 VALUE = {"states": ["0101" * 64] * 200, "arcs": list(range(64)) * 32}
+#: a payload zlib cannot shrink: it is already deflated
+NOISE = zlib.compress(bytes((i * 97 + 13) % 251 for i in range(4096)))
 VERSION = ARTIFACT_FORMATS["sg"]
 
 
-def v1_envelope(key, value, version):
-    """Bytes exactly as the pre-codec store wrote them: header without
-    codec/raw_size stamps, payload as a raw pickle."""
-    header = {"format": version, "key": repr(key)}
-    return (pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-            + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+def stamped(header_fields, body):
+    """Envelope bytes with a hand-made header (for miss cases)."""
+    header = {"format": VERSION, "key": repr(KEY), **header_fields}
+    return pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL) + body
+
+
+def codec_of(data):
+    return read_header(data)[0]["codec"]
 
 
 class TestCodecRegistry:
     def test_identity_and_zlib_always_available(self):
-        assert "identity" in available_codecs()
-        assert "zlib" in available_codecs()
-
-    def test_resolve_default(self):
-        assert resolve_codec(None) == envelope.DEFAULT_CODEC
-
-    def test_resolve_missing_zstd_falls_back_to_zlib(self, monkeypatch):
-        monkeypatch.delitem(envelope._CODECS, "zstd", raising=False)
-        assert resolve_codec("zstd") == "zlib"
-
-    def test_resolve_unknown_codec_raises(self):
-        with pytest.raises(ValueError):
-            resolve_codec("lzma-but-misspelled")
+        assert set(envelope._CODECS) == {"identity", "zlib"}
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("codec", ["identity", "zlib"])
-    def test_round_trip(self, codec):
-        data = encode_entry(KEY, VALUE, VERSION, codec=codec)
+    @pytest.mark.parametrize("codec, value", [
+        pytest.param("identity", NOISE, id="identity"),
+        pytest.param("zlib", VALUE, id="zlib")])
+    def test_round_trip(self, codec, value):
+        data = encode_entry(KEY, value, VERSION)
+        assert codec_of(data) == codec
         status, payload = decode_entry(data, KEY, VERSION)
         assert status == "hit"
-        assert payload == VALUE
+        assert payload == value
 
     def test_zlib_actually_compresses(self):
-        compressed = encode_entry(KEY, VALUE, VERSION, codec="zlib")
-        raw = encode_entry(KEY, VALUE, VERSION, codec="identity")
+        compressed = encode_entry(KEY, VALUE, VERSION)
+        raw = pickle.dumps(VALUE, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(compressed) < len(raw) / 2
         assert codec_of(compressed) == "zlib"
-        assert raw_size_of(compressed) == raw_size_of(raw)
+        assert read_header(compressed)[0]["raw_size"] == len(raw)
 
     def test_incompressible_payload_falls_back_to_identity(self):
-        """The stamp records what happened, not what was asked for."""
-        noise = zlib.compress(bytes((i * 97 + 13) % 251
-                                    for i in range(4096)))
-        data = encode_entry(KEY, noise, VERSION, codec="zlib")
+        """The stamp records what happened, not what was asked for;
+        an identity body is the raw payload pickle."""
+        data = encode_entry(KEY, NOISE, VERSION)
         assert codec_of(data) == "identity"
+        offset = read_header(data)[1]
+        assert pickle.loads(data[offset:]) == NOISE
         assert decode_entry(data, KEY, VERSION)[0] == "hit"
 
     def test_wrong_format_is_stale(self):
@@ -82,85 +76,19 @@ class TestRoundTrip:
                             VERSION)[0] == "error"
 
     def test_corrupt_body_is_error(self):
-        data = encode_entry(KEY, VALUE, VERSION, codec="zlib")
+        data = encode_entry(KEY, VALUE, VERSION)
         header_len = read_header(data)[1]
         torn = data[:header_len] + b"\x00garbage"
         assert decode_entry(torn, KEY, VERSION)[0] == "error"
 
-
-class TestV1Interop:
-    """Pre-codec envelopes keep hitting, v2-identity stays v1-readable."""
-
-    def test_v1_envelope_decodes_as_hit(self):
-        data = v1_envelope(KEY, VALUE, VERSION)
-        status, payload = decode_entry(data, KEY, VERSION)
-        assert status == "hit"
-        assert payload == VALUE
-        assert codec_of(data) == "identity"
-
-    def test_v1_raw_size_is_the_body_length(self):
-        data = v1_envelope(KEY, VALUE, VERSION)
-        header_len = read_header(data)[1]
-        assert raw_size_of(data) == len(data) - header_len
-
-    def test_v2_identity_payload_is_a_raw_pickle(self):
-        """What lets a v1 decoder (header + pickle.loads of the rest)
-        read a v2-identity envelope."""
-        data = encode_entry(KEY, VALUE, VERSION, codec="identity")
-        offset = read_header(data)[1]
-        assert pickle.loads(data[offset:]) == VALUE
-
-    def test_unknown_codec_stamp_is_stale_not_error(self):
-        """An entry compressed by a newer binary is a miss here — but
-        not garbage to unlink: that binary can still read it."""
-        header = {"format": VERSION, "key": repr(KEY),
-                  "codec": "quantum-lz", "raw_size": 3}
-        data = (pickle.dumps(header,
-                             protocol=pickle.HIGHEST_PROTOCOL)
-                + b"???")
-        assert decode_entry(data, KEY, VERSION)[0] == "stale"
-
-
-class TestTranscode:
-    def test_zlib_to_identity_without_unpickling(self):
-        compressed = encode_entry(KEY, VALUE, VERSION, codec="zlib")
-        identity = transcode(compressed, "identity")
-        assert codec_of(identity) == "identity"
-        assert decode_entry(identity, KEY, VERSION) == ("hit", VALUE)
-
-    def test_v1_to_zlib_migration(self):
-        old = v1_envelope(KEY, VALUE, VERSION)
-        migrated = transcode(old, "zlib")
-        assert codec_of(migrated) == "zlib"
-        assert len(migrated) < len(old)
-        assert decode_entry(migrated, KEY, VERSION) == ("hit", VALUE)
-
-    def test_transcode_of_garbage_is_none(self):
-        assert transcode(b"junk", "zlib") is None
-
-    def test_transcode_preserves_format_and_key(self):
-        data = transcode(encode_entry(KEY, VALUE, VERSION), "identity")
-        header = read_header(data)[0]
-        assert header["format"] == VERSION
-        assert header["key"] == repr(KEY)
-
-
-class TestNegotiation:
-    def test_missing_header_is_a_v1_client(self):
-        assert negotiate_codecs(None) == frozenset({"identity"})
-        assert negotiate_codecs("") == frozenset({"identity"})
-
-    def test_advertised_codecs_are_accepted(self):
-        accepted = negotiate_codecs("identity, zlib")
-        assert "zlib" in accepted
-        assert "identity" in accepted
-
-    def test_unknown_tokens_are_ignored(self):
-        accepted = negotiate_codecs("zlib, quantum-lz")
-        assert accepted == frozenset({"identity", "zlib"})
-
-    def test_identity_is_always_accepted(self):
-        assert "identity" in negotiate_codecs("zlib")
+    @pytest.mark.parametrize("codec", ["zstd", "quantum-lz", None, 7,
+                                       ["zlib"]])
+    def test_unknown_codec_stamp_is_a_miss(self, codec):
+        """Any stamp other than identity/zlib — including none at all,
+        or a non-string — is a non-raising miss, never unpickled."""
+        fields = {} if codec is None else {"codec": codec}
+        data = stamped(dict(fields, raw_size=3), b"???")
+        assert decode_entry(data, KEY, VERSION) == ("stale", None)
 
 
 class TestHeaderSafety:
@@ -173,4 +101,4 @@ class TestHeaderSafety:
 
     def test_plausible_envelope_accepts_real_entries(self):
         assert plausible_envelope(encode_entry(KEY, VALUE, VERSION))
-        assert plausible_envelope(v1_envelope(KEY, VALUE, VERSION))
+        assert plausible_envelope(encode_entry(KEY, NOISE, VERSION))

@@ -6,13 +6,13 @@ import pytest
 
 from repro.dist.base import make_store
 from repro.dist.envelope import (ARTIFACT_FORMATS, STORE_LAYOUT,
-                                 codec_of, digest_of, encode_entry,
-                                 kind_of)
+                                 digest_of, encode_entry, kind_of,
+                                 read_header)
 from repro.dist.objectstore import (ObjectStoreArtifactCache,
                                     TransportError,
                                     parse_object_store_spec)
 from repro.dist.remote import RemoteArtifactCache, TieredStore
-from repro.dist.s3fake import FakeS3Server
+from tests.dist.s3fake import FakeS3Server
 from repro.errors import StoreConfigError
 from repro.pipeline import DiskArtifactCache, Pipeline, PipelineConfig
 from repro.pipeline.store import MISS
@@ -90,7 +90,7 @@ class TestRoundTrip:
         key = (f"{PREFIX}/{STORE_LAYOUT}/{kind_of(KEY)}"
                f"/{digest_of(KEY)}")
         body = fake.lookup(BUCKET, key)[0]
-        assert codec_of(body) == "zlib"
+        assert read_header(body)[0]["codec"] == "zlib"
 
     def test_same_bytes_any_backend_reads(self, fake, spec, cache):
         """Content addressing is backend-independent: an envelope
@@ -98,7 +98,7 @@ class TestRoundTrip:
         cache.put(KEY, VALUE)
         _, wire = cache.fetch(KEY)
         version = ARTIFACT_FORMATS[kind_of(KEY)]
-        assert wire == encode_entry(KEY, VALUE, version, codec="zlib")
+        assert wire == encode_entry(KEY, VALUE, version)
 
     def test_stale_format_is_a_miss(self, cache, monkeypatch):
         cache.put(KEY, VALUE)
@@ -243,7 +243,7 @@ class TestMaintenance:
 class TestListingPagination:
     def test_small_pages_follow_continuation_tokens(self, fake, spec,
                                                     monkeypatch):
-        monkeypatch.setattr("repro.dist.s3fake.MAX_KEYS_DEFAULT", 3)
+        monkeypatch.setattr("tests.dist.s3fake.MAX_KEYS_DEFAULT", 3)
         cache = ObjectStoreArtifactCache(spec)
         digests = [format(i, "x") * 64 for i in range(8)]
         for digest in digests:

@@ -85,6 +85,19 @@ class TestRemoteRoundTrip:
         assert set(report.by_kind) == {"sg", "map"}
         assert report.root == remote.base_url
 
+    def test_report_reads_the_server_triples(self, server, remote):
+        """``/stats`` ships ``[entries, stored, raw]`` per kind and the
+        client report carries all three, equal to the server's own."""
+        remote.put(KEY, {"states": ["0101" * 64] * 200})
+        remote.put(OTHER, "b")
+        local = server.store.report()
+        report = remote.report()
+        assert report.by_kind == local.by_kind
+        assert (report.bytes, report.raw_bytes) == (local.bytes,
+                                                    local.raw_bytes)
+        count, stored, raw = report.by_kind["sg"]
+        assert count == 1 and raw > stored     # zlib shrank it
+
     def test_remote_gc_and_clear(self, remote):
         remote.put(KEY, "a")
         assert remote.gc() == (0, 0)           # healthy entry survives

@@ -1,17 +1,15 @@
-"""Chunked/ranged transfer and codec negotiation over real sockets:
-ranged GETs spanning chunk boundaries, streamed PUT bodies, concurrent
-idempotent uploads, and v1-speaking clients against a v2 server."""
+"""Chunked/ranged transfer over real sockets: ranged GETs spanning
+chunk boundaries, verbatim GETs, streamed PUT bodies and concurrent
+idempotent uploads."""
 
-import pickle
 import threading
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.dist.envelope import (ARTIFACT_FORMATS, codec_of,
-                                 digest_of, encode_entry, kind_of,
-                                 read_header)
+from repro.dist.envelope import (ARTIFACT_FORMATS, digest_of,
+                                 encode_entry, kind_of, read_header)
 from repro.dist.remote import RemoteArtifactCache
 from repro.dist.server import ArtifactServer
 
@@ -56,8 +54,7 @@ class TestRangedDownloads:
                                          digest_of(KEY)))
         request = urllib.request.Request(
             entry_url(server, KEY),
-            headers={"Range": "bytes=10-29",
-                     "X-SI-Codecs": "identity, zlib"})
+            headers={"Range": "bytes=10-29"})
         with urllib.request.urlopen(request, timeout=5) as response:
             assert response.status == 206
             assert (response.headers["Content-Range"]
@@ -74,8 +71,7 @@ class TestRangedDownloads:
             last = min(offset + 300, len(whole)) - 1
             request = urllib.request.Request(
                 entry_url(server, KEY),
-                headers={"Range": f"bytes={offset}-{last}",
-                         "X-SI-Codecs": "identity, zlib"})
+                headers={"Range": f"bytes={offset}-{last}"})
             with urllib.request.urlopen(request,
                                         timeout=5) as response:
                 assert response.status == 206
@@ -89,8 +85,7 @@ class TestRangedDownloads:
                                          digest_of(KEY)))
         request = urllib.request.Request(
             entry_url(server, KEY),
-            headers={"Range": f"bytes={total + 10}-{total + 20}",
-                     "X-SI-Codecs": "identity, zlib"})
+            headers={"Range": f"bytes={total + 10}-{total + 20}"})
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=5)
         assert caught.value.code == 416
@@ -105,8 +100,7 @@ class TestRangedDownloads:
         whole = server.store.get_raw(kind_of(KEY), digest_of(KEY))
         request = urllib.request.Request(
             entry_url(server, KEY),
-            headers={"Range": "bytes=0-1, 5-9",
-                     "X-SI-Codecs": "identity, zlib"})
+            headers={"Range": "bytes=0-1, 5-9"})
         with urllib.request.urlopen(request, timeout=5) as response:
             assert response.status == 200
             assert response.read() == whole
@@ -133,7 +127,7 @@ class TestOldServerInterop:
     def test_client_accepts_whole_body_200(self):
         """A ranged client against a pre-range server still works:
         the 200 whole-body reply is taken as-is."""
-        data = encode_entry(KEY, BIG_VALUE, VERSION, codec="zlib")
+        data = encode_entry(KEY, BIG_VALUE, VERSION)
         httpd = ThreadingHTTPServer(("127.0.0.1", 0),
                                     _WholeBody200Handler)
         httpd.body = data
@@ -152,65 +146,28 @@ class TestOldServerInterop:
             thread.join(timeout=5)
 
 
-class TestCodecNegotiation:
-    def test_v2_client_receives_the_compressed_envelope(self, server):
-        client = RemoteArtifactCache(server.url)
-        client.put(KEY, BIG_VALUE)
+class TestVerbatimGets:
+    @pytest.mark.parametrize("headers", [
+        {}, {"X-SI-Codecs": "identity"},
+        {"X-SI-Codecs": "identity, zlib"}],
+        ids=["no-header", "identity-only", "identity-zlib"])
+    def test_get_returns_the_stored_bytes(self, server, headers):
+        """The server sends the stored envelope as-is, whatever the
+        client advertises: there is one format, nothing to convert."""
+        RemoteArtifactCache(server.url).put(KEY, BIG_VALUE)
         stored = server.store.get_raw(kind_of(KEY), digest_of(KEY))
-        assert codec_of(stored) == "zlib"
-        request = urllib.request.Request(
-            entry_url(server, KEY),
-            headers={"X-SI-Codecs": "identity, zlib"})
+        assert read_header(stored)[0]["codec"] == "zlib"
+        request = urllib.request.Request(entry_url(server, KEY),
+                                         headers=headers)
         with urllib.request.urlopen(request, timeout=5) as response:
-            body = response.read()
-            assert response.headers["X-SI-Codec"] == "zlib"
-        assert body == stored
-
-    def test_v1_client_gets_identity_transcode(self, server):
-        """Regression: a client that predates the codec stamp sends no
-        X-SI-Codecs header and must receive a raw-pickle envelope it
-        can read with plain pickle.loads."""
-        RemoteArtifactCache(server.url).put(KEY, BIG_VALUE)
-        request = urllib.request.Request(entry_url(server, KEY))
-        with urllib.request.urlopen(request, timeout=5) as response:
-            body = response.read()
-            assert response.headers["X-SI-Codec"] == "identity"
-        # decode exactly like the pre-codec client did: restricted
-        # header check, then pickle.loads of the remainder
-        header, offset = read_header(body)
-        assert header["format"] == VERSION
-        assert header["key"] == repr(KEY)
-        assert pickle.loads(body[offset:]) == BIG_VALUE
-
-    def test_v1_client_ranged_request_slices_the_transcode(
-            self, server):
-        """Transcoding is deterministic, so an old chunking client
-        sees a consistent byte stream across its ranged requests."""
-        RemoteArtifactCache(server.url).put(KEY, BIG_VALUE)
-        whole = urllib.request.urlopen(
-            urllib.request.Request(entry_url(server, KEY)),
-            timeout=5).read()
-        pieces = []
-        offset = 0
-        while offset < len(whole):
-            last = min(offset + 1000, len(whole)) - 1
-            request = urllib.request.Request(
-                entry_url(server, KEY),
-                headers={"Range": f"bytes={offset}-{last}"})
-            with urllib.request.urlopen(request,
-                                        timeout=5) as response:
-                assert response.status == 206
-                assert (response.headers["Content-Range"]
-                        == f"bytes {offset}-{last}/{len(whole)}")
-                pieces.append(response.read())
-            offset = last + 1
-        assert b"".join(pieces) == whole
+            assert response.read() == stored
+            assert "X-SI-Codec" not in response.headers
 
 
 class TestStreamedPuts:
     def test_uploaded_bytes_land_verbatim(self, server):
         client = RemoteArtifactCache(server.url)
-        data = encode_entry(KEY, BIG_VALUE, VERSION, codec="zlib")
+        data = encode_entry(KEY, BIG_VALUE, VERSION)
         assert client.put_raw(kind_of(KEY), digest_of(KEY), data)
         assert server.store.get_raw(kind_of(KEY),
                                     digest_of(KEY)) == data
@@ -221,7 +178,7 @@ class TestStreamedPuts:
         count exactly one write per request."""
         threads = 8
         client = RemoteArtifactCache(server.url)
-        data = encode_entry(KEY, BIG_VALUE, VERSION, codec="zlib")
+        data = encode_entry(KEY, BIG_VALUE, VERSION)
         kind, digest = kind_of(KEY), digest_of(KEY)
         barrier = threading.Barrier(threads)
         results = []

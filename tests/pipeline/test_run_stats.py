@@ -78,7 +78,7 @@ class TestCounterContract:
 
 
     def test_s3_tier_reports_as_remote(self, tmp_path):
-        from repro.dist.s3fake import FakeS3Server
+        from tests.dist.s3fake import FakeS3Server
         with use_registry():
             s3 = FakeS3Server().start_background()
             try:

@@ -11,7 +11,8 @@ from repro.obs.metrics import CounterScope
 from repro.pipeline import (ArtifactCache, BatchRunner, DiskArtifactCache,
                             Pipeline, PipelineConfig)
 from repro.pipeline.run import run_counts
-from repro.pipeline.store import ARTIFACT_FORMATS, MISS, STORE_LAYOUT
+from repro.pipeline.store import (ARTIFACT_FORMATS, MISS, STORE_LAYOUT,
+                                  encode_entry)
 
 
 KEY = ("sg", "f" * 64)
@@ -170,13 +171,16 @@ class TestStoreMaintenance:
         newer = tmp_path / "v999" / "sg" / "00" / ("2" * 64 + ".pkl")
         newer.parent.mkdir(parents=True)
         newer.write_bytes(b"a future binary's entry")
-        older = tmp_path / "v0" / "sg" / "00" / ("3" * 64 + ".pkl")
-        older.parent.mkdir(parents=True)
-        older.write_bytes(b"an obsolete entry")
+        older = []
+        for layout in ("v0", "v1"):
+            path = tmp_path / layout / "sg" / "00" / ("3" * 64 + ".pkl")
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"an obsolete entry")
+            older.append(path)
         removed, _ = store.gc()
-        assert removed == 1
+        assert removed == 2
         assert newer.exists()
-        assert not older.exists()
+        assert not any(path.exists() for path in older)
 
     def test_gc_reads_headers_not_payloads(self, tmp_path):
         """gc must never materialize payloads (mapping results carry
@@ -512,103 +516,53 @@ class TestCscArtifact:
             cold.stats["signals_inserted"]
 
 
-def write_v1_entry(store, key, value):
-    """Plant bytes exactly as the pre-codec store wrote them: header
-    without codec/raw_size stamps, payload as a raw pickle."""
-    import pickle as _pickle
-    from repro.pipeline.store import digest_of, kind_of
-    header = {"format": ARTIFACT_FORMATS[kind_of(key)],
-              "key": repr(key)}
-    data = (_pickle.dumps(header, protocol=_pickle.HIGHEST_PROTOCOL)
-            + _pickle.dumps(value, protocol=_pickle.HIGHEST_PROTOCOL))
-    path = store.raw_path(kind_of(key), digest_of(key))
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return path, data
+class TestOldLayout:
+    """Stores written under the previous layout (``v1/``) are never
+    opened: every lookup is a plain miss and gc reaps them."""
 
+    def _plant_v1(self, store, key, value):
+        """An entry exactly where the previous layout filed it."""
+        from repro.pipeline.store import digest_of, kind_of
+        digest = digest_of(key)
+        path = os.path.join(store.root, "v1", kind_of(key),
+                            digest[:2], digest + ".pkl")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(encode_entry(key, value,
+                                      ARTIFACT_FORMATS[kind_of(key)]))
+        return path
 
-class TestV1Migration:
-    """Pre-refactor stores stay warm; entries migrate lazily on hit."""
-
-    VALUE = {"states": ["0101" * 64] * 200}
-
-    def test_v1_entry_hits_and_reencodes_in_place(self, tmp_path):
+    def test_v1_entry_is_a_plain_miss_until_gc(self, tmp_path):
         store = DiskArtifactCache(str(tmp_path))
-        path, v1_bytes = write_v1_entry(store, KEY, self.VALUE)
-        assert store.get(KEY) == self.VALUE
-        assert store.stats.hits == 1
-        # the hit migrated the entry: smaller, codec-stamped
-        from repro.pipeline.store import read_header
-        with open(path, "rb") as handle:
-            migrated = handle.read()
-        assert len(migrated) < len(v1_bytes)
-        assert read_header(migrated)[0]["codec"] == "zlib"
-        assert store.stats.writes == 1
-        # second hit reads the v2 entry and does NOT rewrite again
-        assert store.get(KEY) == self.VALUE
-        assert store.stats.writes == 1
-
-    def test_identity_store_leaves_v1_entries_alone(self, tmp_path):
-        store = DiskArtifactCache(str(tmp_path), codec="identity")
-        path, v1_bytes = write_v1_entry(store, KEY, self.VALUE)
-        assert store.get(KEY) == self.VALUE
-        with open(path, "rb") as handle:
-            assert handle.read() == v1_bytes
-
-    def test_gc_keeps_valid_v1_entries(self, tmp_path):
-        store = DiskArtifactCache(str(tmp_path))
-        write_v1_entry(store, KEY, self.VALUE)
+        path = self._plant_v1(store, KEY, "parent")
+        assert store.get(KEY) is MISS
+        assert store.stats.misses == 1
+        assert store.stats.errors == 0
+        assert store.stats.stale == 0
+        assert os.path.exists(path)          # a miss unlinks nothing
+        assert store.report().entries == 0   # not in the inventory
         removed, _ = store.gc()
-        assert removed == 0
-        assert store.get(KEY) == self.VALUE
+        assert removed == 1
+        assert not os.path.exists(path)
 
-    def test_report_reads_v1_raw_size_from_the_body(self, tmp_path):
-        store = DiskArtifactCache(str(tmp_path))
-        _, v1_bytes = write_v1_entry(store, KEY, self.VALUE)
-        report = store.report()
-        assert report.entries == 1
-        assert report.bytes == len(v1_bytes)
-        assert report.raw_bytes < report.bytes   # payload < envelope
-
-    def test_warm_pipeline_from_v1_store_computes_nothing(self,
-                                                          tmp_path):
-        """The acceptance criterion: a store written before this
-        refactor still warm-starts the pipeline."""
+    def test_pipeline_over_a_v1_store_recomputes(self, tmp_path):
+        """A store filled before the layout bump warm-starts nothing:
+        the run recomputes the same row, then gc reaps the old tree."""
         from dataclasses import replace
         config = replace(BATTERY, cache_dir=str(tmp_path))
         cold = Pipeline(config).run("half")
-        assert cold.stats["sg"] == 1
-        # rewrite every entry as its v1 (pre-codec) equivalent
-        store = DiskArtifactCache(str(tmp_path))
-        rewritten = 0
-        for _, path in store._entries():
-            from repro.pipeline.store import (decode_entry,
-                                              read_header)
-            with open(path, "rb") as handle:
-                data = handle.read()
-            header, offset = read_header(data)
-            v1_header = {"format": header["format"],
-                         "key": header["key"]}
-            if "codec" in header:
-                import zlib as _zlib
-                payload = (_zlib.decompress(data[offset:])
-                           if header["codec"] == "zlib"
-                           else data[offset:])
-            else:
-                payload = data[offset:]
-            with open(path, "wb") as handle:
-                handle.write(pickle.dumps(
-                    v1_header, protocol=pickle.HIGHEST_PROTOCOL)
-                    + payload)
-            rewritten += 1
-        assert rewritten > 0
-        warm = Pipeline(config).run("half")
-        assert warm.stats["sg"] == 0
-        assert warm.stats["implementations"] == 0
-        assert warm.stats["map"] == 0
-        assert warm.stats["disk_hits"] > 0
-        assert warm.row == cold.row
+        os.rename(tmp_path / STORE_LAYOUT, tmp_path / "v1")
+        old_files = sum(len(names)
+                        for _, _, names in os.walk(tmp_path / "v1"))
+        assert old_files > 0
+        rerun = Pipeline(config).run("half")
+        assert rerun.stats["sg"] == 1
+        assert rerun.stats["map"] >= 1
+        assert rerun.stats["disk_hits"] == 0
+        assert rerun.row == cold.row
+        removed, _ = DiskArtifactCache(str(tmp_path)).gc()
+        assert removed == old_files
+        assert not (tmp_path / "v1").exists()
 
 
 class TestCompressionRatio:

@@ -1,5 +1,7 @@
 """Unit tests for the StateGraph data structure."""
 
+import pickle
+
 import pytest
 
 from repro._util import FrozenVector
@@ -114,6 +116,31 @@ class TestAlgorithms:
         diamond_sg.add_state("extra", vec(a=1, b=1))
         # adding a state alone cannot create a diamond
         assert len(diamond_sg.diamonds()) == 1
+
+    def test_diamond_index_cached_and_invalidated(self):
+        sg = StateGraph("half", ["a"], ["b"])
+        sg.add_state("s0", vec(a=0, b=0))
+        sg.add_state("sa", vec(a=1, b=0))
+        sg.add_state("sb", vec(a=0, b=1))
+        sg.add_arc("s0", "a+", "sa")
+        sg.add_arc("s0", "b+", "sb")
+        index = sg.diamond_index()
+        assert index == {}
+        assert sg.diamond_index() is index               # cached
+        sg.add_state("st", vec(a=1, b=1))
+        sg.add_arc("sa", "b+", "st")
+        assert sg.diamond_index() == {}                  # one side only
+        sg.add_arc("sb", "a+", "st")
+        index = sg.diamond_index()
+        assert set(index) == {"s0", "sa", "sb", "st"}
+        assert index["st"] == sg.diamonds()
+
+    def test_pickle_drops_the_diamond_cache(self, diamond_sg):
+        diamonds = diamond_sg.diamonds()
+        clone = pickle.loads(pickle.dumps(diamond_sg))
+        assert clone._diamond_cache is None
+        assert clone.diamonds() == diamonds
+        assert diamond_sg._diamond_cache is not None   # source intact
 
     def test_copy_equivalent(self, diamond_sg):
         clone = diamond_sg.copy()
